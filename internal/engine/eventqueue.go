@@ -11,9 +11,10 @@ import "math"
 //     keys of equal-share segments (see the virtual-clock notes in engine.go).
 //     Keys are only ever popped near the monotonically increasing virtual
 //     clock, which is exactly the access pattern calendar queues are O(1)
-//     amortized for: a cursor walks a ring of narrow buckets, and keys beyond
+//     amortized for: a cursor walks a ring of narrow buckets, keys beyond
 //     the bucket window wait in an overflow list that is re-bucketed when the
-//     cursor wraps.
+//     cursor wraps, and the wheel grows with the backlog so buckets stay
+//     short.
 //   - idxHeap: an indexed binary min-heap keyed by slot, used for the
 //     delta-ratio eligibility bound of the virtual mode and for the
 //     completion-quotient index of the fallback path.
@@ -246,56 +247,73 @@ func (h *idxHeap) siftDown(i int) {
 }
 
 // calendarQueue is the timer-wheel index over virtual-service completion
-// keys. Buckets cover the half-open window [base, base+width·len(buckets));
-// keys past the window wait in the overflow list and are distributed when the
-// cursor wraps. base and limit are FIXED for a window's lifetime (only
-// rewindow/reset move them) — that fixes the order invariant the whole
-// structure rests on: every bucketed key < limit ≤ every overflow key, so
-// the global minimum always lives in the first non-empty bucket. Inserts
-// whose key falls before the cursor's bucket are clamped into the cursor
-// bucket — peekMin scans a whole bucket for the (key, id) minimum, so a
-// clamped early key is still found first.
+// keys. Buckets cover the half-open window [base, base+width·nb); keys past
+// the window wait in the overflow list and are distributed when the cursor
+// wraps. base and limit are FIXED for a window's lifetime (only reset moves
+// them) — that fixes the order invariant the whole structure rests on: every
+// bucketed key < limit ≤ every overflow key, so the global minimum always
+// lives in the first non-empty bucket. Inserts whose key falls before the
+// cursor's bucket are clamped into the cursor bucket — peekMin scans a whole
+// bucket for the (key, id) minimum, so a clamped early key is still found
+// first.
 //
-// Geometry (width, bucket count, window base) adapts to occupancy at rebuild
-// and wrap points, and deliberately has no effect on anything observable:
-// extraction order is value-ordered, so a queue with different geometry —
-// say, one rebuilt from a Snapshot — pops the identical sequence.
+// Resizing. Virtual-clock keys are vnow + rem/w with vnow crawling at
+// p/wsum, so on a deep backlog nearly every arrival lands inside the window
+// sized when the segment began, and a fixed wheel would pile the whole
+// backlog into a few buckets. insert therefore grows the wheel as in Brown's
+// calendar queue: once n > 2·nb, rewindow re-buckets every filed key into
+// nextpow2(n) buckets spread over the keys' current span. A grow at least
+// doubles nb, so the rebuilds of a queue that reaches n keys form a
+// geometric series summing to O(n): O(1) amortized per insert. There is no
+// shrink rule: buckets only empty by popping, so the cursor's walk over a
+// window is paid for by the keys the window was sized for, and rewindow
+// re-sizes the wheel to the overflow it redistributes.
+//
+// Layout. Every list (the nb buckets and the overflow) is an intrusive
+// doubly linked list threaded through flat slot-indexed arrays: head[b] is
+// the first slot of list b, with the overflow list at head[nb]; next and
+// prev link a list's slots; bucketOf names each slot's list; key caches each
+// slot's key so scans and re-bucketing never touch the live slots. A bucket
+// costs one int32 and owns no backing array, so resizing reuses the same
+// storage whatever geometries a run goes through.
+//
+// Geometry (width, bucket count, window base) adapts to occupancy at rebuild,
+// grow and wrap points, and deliberately has no effect on anything
+// observable: extraction order is value-ordered, so a queue with different
+// geometry — say, one rebuilt from a Snapshot — pops the identical sequence.
 type calendarQueue struct {
-	valid   bool
-	base    float64 // virtual time at bucket 0's left edge (fixed per window)
-	limit   float64 // base + width·len(buckets): the overflow threshold
-	width   float64
-	cur     int
-	n       int
-	buckets [][]int32
-	over    []int32
-	// slot → location: bucketOf is the bucket index or -1 for the overflow
-	// list; posOf is the position inside that bucket/list.
+	valid bool
+	base  float64 // virtual time at bucket 0's left edge (fixed per window)
+	limit float64 // base + width·nb: the overflow threshold
+	width float64
+	nb    int // bucket count; list nb is the overflow list
+	cur   int
+	n     int
+	head  []int32 // list → first slot, -1 when empty; length nb+1
+	// slot → filing: the slot's list, its neighbours there (-1 at either
+	// end) and its key.
 	bucketOf []int32
-	posOf    []int32
+	next     []int32
+	prev     []int32
+	key      []float64
 }
 
 // calMinBuckets keeps the wheel from degenerating at tiny occupancies.
 const calMinBuckets = 16
 
-// reset empties the queue and re-anchors the window at vnow for about n keys
-// spanning roughly span units of virtual service.
-func (q *calendarQueue) reset(vnow, span float64, n, slots int) {
+// reset empties the queue and re-anchors the window at base for about n
+// keys spanning roughly span units of virtual service.
+func (q *calendarQueue) reset(base, span float64, n int) {
 	nb := calMinBuckets
 	for nb < n {
 		nb *= 2
 	}
-	if cap(q.buckets) < nb {
-		q.buckets = append(q.buckets[:cap(q.buckets)], make([][]int32, nb-cap(q.buckets))...)
+	q.head = growInt32(q.head, nb+1)
+	for i := range q.head {
+		q.head[i] = -1
 	}
-	q.buckets = q.buckets[:nb]
-	for i := range q.buckets {
-		q.buckets[i] = q.buckets[i][:0]
-	}
-	q.over = q.over[:0]
-	q.bucketOf = growInt32(q.bucketOf, slots)
-	q.posOf = growInt32(q.posOf, slots)
-	q.base = vnow
+	q.nb = nb
+	q.base = base
 	q.cur = 0
 	q.n = 0
 	// Aim for ~1 key per bucket across the observed span; a degenerate span
@@ -303,7 +321,7 @@ func (q *calendarQueue) reset(vnow, span float64, n, slots int) {
 	// lands in one bucket and the scan degenerates gracefully.
 	w := span / float64(nb)
 	if !(w > 0) || math.IsInf(w, 0) || math.IsNaN(w) {
-		w = math.Max(1e-9, 1e-9*math.Abs(vnow))
+		w = math.Max(1e-9, 1e-9*math.Abs(base))
 		if w == 0 {
 			w = 1e-9
 		}
@@ -313,129 +331,141 @@ func (q *calendarQueue) reset(vnow, span float64, n, slots int) {
 	q.valid = true
 }
 
-// ensureSlots grows the slot-location index to address slot.
+// ensureSlots grows the slot-indexed arrays to address slot.
 func (q *calendarQueue) ensureSlots(slot int) {
-	for len(q.bucketOf) <= slot {
+	for len(q.key) <= slot {
 		q.bucketOf = append(q.bucketOf, 0)
-		q.posOf = append(q.posOf, 0)
+		q.next = append(q.next, -1)
+		q.prev = append(q.prev, -1)
+		q.key = append(q.key, 0)
 	}
 }
 
-// insert files a slot under its key.
+// link files a slot, whose key is already cached, at the head of its list.
+func (q *calendarQueue) link(slot int) {
+	k := q.key[slot]
+	b := q.nb
+	if k < q.limit {
+		b = 0
+		if k > q.base {
+			b = int((k - q.base) / q.width)
+		}
+		if b < q.cur {
+			b = q.cur // clamp: never file behind the cursor
+		}
+		if b >= q.nb {
+			b = q.nb - 1
+		}
+	}
+	h := q.head[b]
+	q.bucketOf[slot] = int32(b)
+	q.prev[slot] = -1
+	q.next[slot] = h
+	if h >= 0 {
+		q.prev[h] = int32(slot)
+	}
+	q.head[b] = int32(slot)
+}
+
+// insert files a slot under its key, growing the wheel once the queue holds
+// more than two keys per bucket.
 func (q *calendarQueue) insert(slot int, key float64) {
 	q.ensureSlots(slot)
-	if key >= q.limit {
-		q.bucketOf[slot] = -1
-		q.posOf[slot] = int32(len(q.over))
-		q.over = append(q.over, int32(slot))
-		q.n++
-		return
-	}
-	b := 0
-	if key > q.base {
-		b = int((key - q.base) / q.width)
-	}
-	if b < q.cur {
-		b = q.cur // clamp: never file behind the cursor
-	}
-	if b >= len(q.buckets) {
-		b = len(q.buckets) - 1
-	}
-	q.bucketOf[slot] = int32(b)
-	q.posOf[slot] = int32(len(q.buckets[b]))
-	q.buckets[b] = append(q.buckets[b], int32(slot))
+	q.key[slot] = key
+	q.link(slot)
 	q.n++
+	if q.n > 2*q.nb {
+		q.rewindow()
+	}
 }
 
 // peekMin returns the slot holding the (key, id)-least entry. The live slice
-// supplies both the keys and the id tie-break, so the answer is a pure
-// function of queue contents. Returns ok=false on an empty queue.
+// supplies the id tie-break, so the answer is a pure function of queue
+// contents. Returns ok=false on an empty queue.
 func (q *calendarQueue) peekMin(live []liveTask) (slot int, ok bool) {
 	if q.n == 0 {
 		return 0, false
 	}
 	for {
-		for q.cur < len(q.buckets) {
-			b := q.buckets[q.cur]
-			if len(b) > 0 {
-				best := int(b[0])
-				for _, s32 := range b[1:] {
-					s := int(s32)
-					if live[s].key < live[best].key ||
-						(live[s].key == live[best].key && live[s].id < live[best].id) {
-						best = s
-					}
-				}
-				return best, true
+		for ; q.cur < q.nb; q.cur++ {
+			best := q.head[q.cur]
+			if best < 0 {
+				continue
 			}
-			q.cur++
+			for s := q.next[best]; s >= 0; s = q.next[s] {
+				if q.key[s] < q.key[best] || (q.key[s] == q.key[best] && live[s].id < live[best].id) {
+					best = s
+				}
+			}
+			return int(best), true
 		}
 		// Window exhausted: re-anchor it over the overflow keys. Width and
 		// bucket count re-adapt to what is left (amortized O(1) per key).
-		q.rewindow(live)
+		q.rewindow()
 	}
 }
 
-// rewindow redistributes the overflow list into a fresh bucket window. The
-// new window spans [lo, lo+span) with span covering the largest pending key,
-// so the redistribution itself never re-overflows.
-func (q *calendarQueue) rewindow(live []liveTask) {
+// rewindow re-buckets every filed key into a fresh window sized for the
+// current count: the grow step of insert, and the wrap step of peekMin once
+// the cursor has walked every bucket (every key is then in the overflow
+// list). Buckets behind the cursor are empty, so chaining the lists from the
+// cursor on collects every key. The new window spans [lo, lo+span) with span
+// covering the largest key, so the redistribution itself never re-overflows.
+func (q *calendarQueue) rewindow() {
+	chain := int32(-1)
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, s := range q.over {
-		k := live[s].key
-		if k < lo {
-			lo = k
+	for b := q.cur; b <= q.nb; b++ {
+		for s := q.head[b]; s >= 0; {
+			nx := q.next[s]
+			q.next[s] = chain
+			chain = s
+			k := q.key[s]
+			if k < lo {
+				lo = k
+			}
+			if k > hi {
+				hi = k
+			}
+			s = nx
 		}
-		if k > hi {
-			hi = k
-		}
 	}
-	pend := q.over
-	// Swap the overflow buffer out before reset so its storage survives the
-	// redistribution loop (reset clears q.over; appends during the loop, if
-	// any, land past pend's live entries in the same backing array).
-	q.over = q.over[len(q.over):]
-	q.reset(lo, (hi-lo)+q.width, len(pend), len(q.bucketOf))
-	for _, s := range pend {
-		q.insert(int(s), live[s].key)
+	n := q.n
+	q.reset(lo, (hi-lo)+q.width, n)
+	for s := chain; s >= 0; {
+		nx := q.next[s]
+		q.link(int(s))
+		s = nx
 	}
-	// Reclaim the swapped-out buffer for future overflow appends.
-	if len(q.over) == 0 && cap(pend) > cap(q.over) {
-		q.over = pend[:0]
-	}
+	q.n = n
 }
 
 // removeSlot deletes a slot from wherever it is filed.
 func (q *calendarQueue) removeSlot(slot int) {
-	b := q.bucketOf[slot]
-	p := int(q.posOf[slot])
-	var list *[]int32
-	if b < 0 {
-		list = &q.over
+	p, nx := q.prev[slot], q.next[slot]
+	if p >= 0 {
+		q.next[p] = nx
 	} else {
-		list = &q.buckets[b]
+		q.head[q.bucketOf[slot]] = nx
 	}
-	last := len(*list) - 1
-	if p != last {
-		moved := (*list)[last]
-		(*list)[p] = moved
-		q.posOf[moved] = int32(p)
+	if nx >= 0 {
+		q.prev[nx] = p
 	}
-	*list = (*list)[:last]
 	q.n--
 }
 
 // renumber moves slot old's filing to slot new (the swap-delete fixup).
 func (q *calendarQueue) renumber(oldSlot, newSlot int) {
 	q.ensureSlots(newSlot)
-	b := q.bucketOf[oldSlot]
-	p := q.posOf[oldSlot]
-	q.bucketOf[newSlot] = b
-	q.posOf[newSlot] = p
-	if b < 0 {
-		q.over[p] = int32(newSlot)
+	b, p, nx := q.bucketOf[oldSlot], q.prev[oldSlot], q.next[oldSlot]
+	q.bucketOf[newSlot], q.prev[newSlot], q.next[newSlot] = b, p, nx
+	q.key[newSlot] = q.key[oldSlot]
+	if p >= 0 {
+		q.next[p] = int32(newSlot)
 	} else {
-		q.buckets[b][p] = int32(newSlot)
+		q.head[b] = int32(newSlot)
+	}
+	if nx >= 0 {
+		q.prev[nx] = int32(newSlot)
 	}
 }
 
@@ -449,7 +479,7 @@ func (q *calendarQueue) rebuildCalendar(live []liveTask, vnow float64) {
 			hi = k
 		}
 	}
-	q.reset(vnow, (hi-vnow)+1e-9, len(live), len(live))
+	q.reset(vnow, (hi-vnow)+1e-9, len(live))
 	for i := range live {
 		q.insert(i, live[i].key)
 	}

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/malleable-sched/malleable/internal/schedule"
@@ -334,14 +336,16 @@ func TestSnapshotMidBucketRestoreRedrive(t *testing.T) {
 	}
 }
 
-// Direct structure test: a calendar queue grown by interleaved inserts and
-// pops must extract the same (key, id) sequence as one bulk-rebuilt from the
-// same contents, whatever the geometry — including keys colliding in one
-// bucket and keys far past the window (overflow).
+// Direct structure test: a calendar queue grown insert by insert must
+// extract the same (key, id) sequence as one bulk-rebuilt from the same
+// contents, whatever the geometry — including keys colliding in one bucket,
+// keys far past the window (overflow), and a grown queue that crossed three
+// resize thresholds on the way.
 func TestCalendarQueueValueOrderedExtraction(t *testing.T) {
+	const n = 2048
 	rng := rand.New(rand.NewSource(11))
-	live := make([]liveTask, 0, 256)
-	for i := 0; i < 256; i++ {
+	live := make([]liveTask, 0, n)
+	for i := 0; i < n; i++ {
 		key := rng.Float64() * 10
 		switch i % 5 {
 		case 1:
@@ -352,17 +356,27 @@ func TestCalendarQueueValueOrderedExtraction(t *testing.T) {
 		live = append(live, liveTask{id: i, key: key})
 	}
 	var grown, rebuilt calendarQueue
-	grown.reset(0, 1, calMinBuckets, len(live))
+	grown.reset(0, 1, calMinBuckets)
+	grows := 0
 	for i := range live {
+		nb := grown.nb
 		grown.insert(i, live[i].key)
+		if grown.nb > nb {
+			grows++
+		}
+	}
+	if grows < 3 {
+		t.Fatalf("grown queue crossed %d resize thresholds, want at least 3 (buckets %d)", grows, grown.nb)
 	}
 	rebuilt.rebuildCalendar(live, 0)
+	checkCalendar(t, &grown, live)
+	checkCalendar(t, &rebuilt, live)
 
-	for n := len(live); n > 0; n-- {
+	for left := len(live); left > 0; left-- {
 		gs, gok := grown.peekMin(live)
 		rs, rok := rebuilt.peekMin(live)
 		if !gok || !rok {
-			t.Fatalf("premature empty with %d left: grown=%v rebuilt=%v", n, gok, rok)
+			t.Fatalf("premature empty with %d left: grown=%v rebuilt=%v", left, gok, rok)
 		}
 		if live[gs].key != live[rs].key || live[gs].id != live[rs].id {
 			t.Fatalf("extraction order depends on geometry: grown (%g, %d) vs rebuilt (%g, %d)",
@@ -373,6 +387,260 @@ func TestCalendarQueueValueOrderedExtraction(t *testing.T) {
 	}
 	if _, ok := grown.peekMin(live); ok {
 		t.Fatal("grown queue not empty after draining")
+	}
+}
+
+// checkCalendar verifies the calendar's structure against the live slots,
+// which it must hold exactly (slot i filed under live[i].key): every list is
+// consistently doubly linked, each slot is on the list bucketOf names, with
+// its key cached; buckets behind the cursor are empty; bucketed keys sit
+// below the overflow threshold and overflow keys at or above it; and the
+// wheel holds at most two keys per bucket.
+func checkCalendar(t *testing.T, q *calendarQueue, live []liveTask) {
+	t.Helper()
+	if q.n != len(live) {
+		t.Fatalf("queue counts %d keys, live set has %d", q.n, len(live))
+	}
+	if q.n > 2*q.nb {
+		t.Fatalf("%d keys in %d buckets: the wheel did not grow", q.n, q.nb)
+	}
+	seen := 0
+	for b := 0; b <= q.nb; b++ {
+		prev := int32(-1)
+		for s := q.head[b]; s >= 0; s = q.next[s] {
+			if b < q.cur {
+				t.Fatalf("slot %d filed in bucket %d behind the cursor %d", s, b, q.cur)
+			}
+			if q.prev[s] != prev || q.bucketOf[s] != int32(b) {
+				t.Fatalf("slot %d on list %d: prev %d (want %d), bucketOf %d", s, b, q.prev[s], prev, q.bucketOf[s])
+			}
+			if int(s) >= len(live) || q.key[s] != live[s].key {
+				t.Fatalf("slot %d on list %d caches key %g, live slot does not match", s, b, q.key[s])
+			}
+			if overflow := b == q.nb; overflow != (q.key[s] >= q.limit) {
+				t.Fatalf("slot %d key %g on list %d of %d: wrong side of the limit %g", s, q.key[s], b, q.nb, q.limit)
+			}
+			prev = s
+			seen++
+			if seen > q.n {
+				t.Fatalf("lists hold more than the %d counted keys (cycle?)", q.n)
+			}
+		}
+	}
+	if seen != q.n {
+		t.Fatalf("lists hold %d keys, queue counts %d", seen, q.n)
+	}
+}
+
+// longestBucket returns the length of the longest bucket chain (the
+// overflow list excluded): the scan cost bound of peekMin.
+func longestBucket(q *calendarQueue) int {
+	longest := 0
+	for b := q.cur; b < q.nb; b++ {
+		l := 0
+		for s := q.head[b]; s >= 0; s = q.next[s] {
+			l++
+		}
+		longest = max(longest, l)
+	}
+	return longest
+}
+
+// The flat intrusive-list layout under churn: a queue grown from 2 keys past
+// 16k by insert, with removals interleaved at the head, middle and tail of
+// bucket chains and in the overflow list, each followed by the engine's
+// swap-delete renumber, stays structurally sound and drains in exactly the
+// sorted (key, id) order of its contents.
+func TestCalendarQueueGrowChurnDrain(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var q calendarQueue
+	var live []liveTask
+	nextID := 0
+	add := func() {
+		// Keys drift upward like virtual-clock keys (vnow + rem/w), so
+		// later inserts keep landing past the window in the overflow list.
+		drift := float64(nextID) / 64
+		key := drift + rng.Float64()*8
+		switch rng.Intn(6) {
+		case 0:
+			key = math.Floor(key) // collisions
+		case 1:
+			key = drift + 1e3 + rng.Float64()*1e3 // far past the window
+		}
+		live = append(live, liveTask{id: nextID, key: key})
+		nextID++
+		q.insert(len(live)-1, key)
+	}
+	// remove retires slot k exactly as Stepper.removeSlot does.
+	remove := func(k int) {
+		q.removeSlot(k)
+		last := len(live) - 1
+		if k != last {
+			live[k] = live[last]
+			q.renumber(last, k)
+		}
+		live = live[:last]
+	}
+	// pick returns a slot at the given chain position (0 head, 1 middle,
+	// 2 tail) of a random non-trivial bucket chain, or an overflow slot for
+	// position 3; -1 when there is none.
+	pick := func(pos int) int32 {
+		lists := []int{q.nb}
+		if pos < 3 {
+			lists = lists[:0]
+			for b := q.cur; b < q.nb; b++ {
+				// At least three keys, so head, middle and tail differ.
+				if s := q.head[b]; s >= 0 && q.next[s] >= 0 && q.next[q.next[s]] >= 0 {
+					lists = append(lists, b)
+				}
+			}
+		}
+		if len(lists) == 0 {
+			return -1
+		}
+		chain := []int32{}
+		for s := q.head[lists[rng.Intn(len(lists))]]; s >= 0; s = q.next[s] {
+			if len(chain) == q.n {
+				t.Fatalf("list longer than the %d counted keys (cycle?)", q.n)
+			}
+			chain = append(chain, s)
+		}
+		switch pos {
+		case 0:
+			return chain[0]
+		case 1:
+			return chain[len(chain)/2]
+		case 2:
+			return chain[len(chain)-1]
+		}
+		if len(chain) == 0 {
+			return -1
+		}
+		return chain[rng.Intn(len(chain))]
+	}
+
+	q.reset(0, 1, 2)
+	add()
+	add()
+	grows, removed := 0, [4]int{}
+	for ops := 0; len(live) < 16500; ops++ {
+		nb := q.nb
+		add()
+		if q.nb > nb {
+			grows++
+		}
+		if ops%3 == 2 {
+			pos := ops / 3 % 4
+			if s := pick(pos); s >= 0 {
+				remove(int(s))
+				removed[pos]++
+			}
+		}
+		if ops%2048 == 0 {
+			checkCalendar(t, &q, live)
+		}
+	}
+	checkCalendar(t, &q, live)
+	t.Logf("%d keys, %d buckets, %d grows, removals by position %v", len(live), q.nb, grows, removed)
+	if grows < 5 {
+		t.Fatalf("queue grew %d times on its way to %d keys (buckets %d)", grows, len(live), q.nb)
+	}
+	for pos, c := range removed {
+		if c == 0 {
+			t.Fatalf("no removal exercised chain position %d: %v", pos, removed)
+		}
+	}
+
+	ref := make([]liveTask, len(live))
+	copy(ref, live)
+	slices.SortFunc(ref, func(a, b liveTask) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	for i, want := range ref {
+		s, ok := q.peekMin(live)
+		if !ok {
+			t.Fatalf("queue empty after %d of %d pops", i, len(ref))
+		}
+		if live[s].key != want.key || live[s].id != want.id {
+			t.Fatalf("pop %d: got (%g, %d), want (%g, %d)", i, live[s].key, live[s].id, want.key, want.id)
+		}
+		remove(s)
+		if i%4096 == 0 {
+			checkCalendar(t, &q, live)
+		}
+	}
+	if _, ok := q.peekMin(live); ok || q.n != 0 {
+		t.Fatalf("queue not empty after draining: n=%d", q.n)
+	}
+}
+
+// The geometry regression guard for deep virtual-clock backlogs: the
+// engine-hiback shape (wdeq, large-delta tasks arriving at rate 200 on P = 8,
+// a backlog past 15k) from an empty start, where the first virtual segment
+// sizes the wheel from a couple of keys. Sampled every 256 events, the wheel
+// must hold at most two keys per bucket and no bucket chain may exceed 32 —
+// a host-independent count, so a calendar that stops resizing (and its
+// order-of-magnitude per-seed slowdowns) fails here rather than only in a
+// timing run.
+func TestCalendarGeometryDeepBacklog(t *testing.T) {
+	const (
+		seeds    = 20
+		tasks    = 16384
+		maxChain = 32
+	)
+	r := NewRunner()
+	var res Result
+	for seed := int64(1); seed <= seeds; seed++ {
+		stream, err := workload.NewStream(workload.ArrivalConfig{
+			Class:   workload.LargeDelta,
+			P:       8,
+			Process: workload.Poisson,
+			Rate:    200,
+		}, tasks, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := r.StartStream(&res, 8, WDEQPolicy{}, stream, nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checks, worst := 0, 0
+		for next := 256; ; {
+			ok, err := st.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if res.Events < next {
+				continue
+			}
+			next += 256
+			if !st.virtual || !r.cal.valid {
+				continue
+			}
+			checks++
+			if r.cal.n > 2*r.cal.nb {
+				t.Fatalf("seed %d, event %d: %d keys in %d buckets", seed, res.Events, r.cal.n, r.cal.nb)
+			}
+			l := longestBucket(&r.cal)
+			if l > maxChain {
+				t.Fatalf("seed %d, event %d: bucket chain of %d keys (%d keys, %d buckets), want ≤ %d",
+					seed, res.Events, l, r.cal.n, r.cal.nb, maxChain)
+			}
+			worst = max(worst, l)
+		}
+		if err := st.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if res.MaxAlive < 15000 || checks < 100 {
+			t.Fatalf("seed %d: backlog %d with %d virtual checks — not the deep-backlog shape", seed, res.MaxAlive, checks)
+		}
+		t.Logf("seed %d: max alive %d, longest chain %d over %d checks", seed, res.MaxAlive, worst, checks)
 	}
 }
 

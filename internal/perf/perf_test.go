@@ -297,7 +297,8 @@ func TestSingleShardScenariosNearZeroAllocs(t *testing.T) {
 // The probed scenario is online-poisson plus an every-event EngineCollector:
 // same workload, same seed. It must stay on the zero-allocation path, and its
 // throughput must remain in the same league as the unprobed twin. The bound
-// here is deliberately loose (2x) so CI machine noise cannot flake it; the
+// here is deliberately loose (2x), and each side's best of several
+// interleaved trials is compared, so machine noise cannot flake it; the
 // real overhead (a few percent) is recorded in EXPERIMENTS.md and gated by
 // the 25% baseline comparison like every other scenario.
 func TestProbeScenario(t *testing.T) {
@@ -316,13 +317,27 @@ func TestProbeScenario(t *testing.T) {
 		t.Fatalf("online-probe drifted from online-poisson: %+v vs %+v", probed, plain)
 	}
 
-	probedRes, err := RunScenario(probed, 20*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plainRes, err := RunScenario(plain, 20*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
+	// Interleaved trials, compared best against best: a single 20ms trial
+	// per side is at the mercy of whatever else the host runs during it
+	// (other packages' tests, in a full `go test ./...`), which a
+	// best-of-interleaved comparison shrugs off.
+	const trials = 5
+	var probedRes, plainRes Result
+	for i := 0; i < trials; i++ {
+		pr, err := RunScenario(probed, 20*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ur, err := RunScenario(plain, 20*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 || pr.TasksPerSec > probedRes.TasksPerSec {
+			probedRes = pr
+		}
+		if i == 0 || ur.TasksPerSec > plainRes.TasksPerSec {
+			plainRes = ur
+		}
 	}
 	// Identical workload, so the event count must match exactly.
 	if probedRes.Events != plainRes.Events {
