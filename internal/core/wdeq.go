@@ -5,7 +5,6 @@ import (
 
 	"github.com/malleable-sched/malleable/internal/numeric"
 	"github.com/malleable-sched/malleable/internal/schedule"
-	"github.com/malleable-sched/malleable/internal/speedup"
 	"github.com/malleable-sched/malleable/internal/stepfunc"
 )
 
@@ -20,92 +19,87 @@ import (
 // combinatorial (it never looks at volumes), which is what makes WDEQ
 // non-clairvoyant.
 func ShareAllocation(p float64, weights, deltas []float64) []float64 {
-	return ShareAllocationInto(make([]float64, 0, len(weights)), p, weights, deltas)
+	return ShareAllocationInto(make([]float64, 0, len(deltas)), p, weights, deltas)
 }
 
 // ShareAllocationInto is ShareAllocation with the append-into-dst convention
-// of the hot engine loop: the n shares are appended to dst and the extended
-// slice is returned. When cap(dst) >= len(dst)+n no allocation is performed,
-// so callers that thread the same buffer through every event run
-// allocation-free in steady state.
+// of the hot engine loop: one share per entry of deltas is appended to dst
+// and the extended slice is returned. A nil weights slice means unit weights
+// (the DEQ rule); otherwise weights must be as long as deltas. When
+// cap(dst) >= len(dst)+len(deltas) no allocation is performed, so callers that
+// thread the same buffer through every event run allocation-free in steady
+// state.
+//
+// Inputs are the engine's: weights positive and finite, deltas and p
+// non-negative. Each pass of the fixed point is a single loop that computes
+// w_i·remaining/weightSum with the running remaining, pins the tasks whose
+// share exceeds δ_i, and sums the next pass's weightSum over the tasks it
+// leaves unpinned. The pass that pins nothing is the last, and the shares it
+// computed are the answer.
 func ShareAllocationInto(dst []float64, p float64, weights, deltas []float64) []float64 {
-	return ShareAllocationFunc(dst, p, len(weights),
-		func(i int) float64 { return weights[i] },
-		func(i int) float64 { return deltas[i] })
-}
-
-// unpinned marks a task whose share is still being negotiated by the
-// fixed-point loop of ShareAllocationFunc. Real allocations are never
-// negative, so the sentinel doubles as the "pinned" flag and the usual
-// separate bool scratch slice disappears.
-const unpinned = -1
-
-// ShareAllocationFunc is the accessor form of the sharing rule: the weights
-// and degree bounds of the n active tasks are read through weight(i) and
-// delta(i) instead of materialized slices, and the shares are appended to
-// dst. Policies that observe task structs (engine.TaskState) call this
-// directly so no per-event weight/delta slices exist at all.
-func ShareAllocationFunc(dst []float64, p float64, n int, weight, delta func(int) float64) []float64 {
+	n := len(deltas)
 	base := len(dst)
 	for i := 0; i < n; i++ {
 		dst = append(dst, unpinned)
 	}
-	alloc := dst[base:]
+	alloc := dst[base : base+n]
+	weightSum := float64(n)
+	if weights != nil {
+		weights = weights[:n]
+		weightSum = 0
+		for _, w := range weights {
+			weightSum += w
+		}
+	}
 	remaining := p
-	for {
-		var weightSum float64
-		for i := 0; i < n; i++ {
-			if alloc[i] == unpinned {
-				weightSum += weight(i)
-			}
-		}
-		if weightSum <= 0 {
-			for i := 0; i < n; i++ {
-				if alloc[i] == unpinned {
-					alloc[i] = 0
-				}
-			}
-			break
-		}
+	for weightSum > 0 {
 		changed := false
-		for i := 0; i < n; i++ {
-			if alloc[i] != unpinned {
+		var next float64
+		for i, d := range deltas {
+			if !isUnpinned(alloc[i]) {
 				continue
 			}
-			share := weight(i) * remaining / weightSum
-			if d := delta(i); d < share {
+			w := 1.0
+			if weights != nil {
+				w = weights[i]
+			}
+			share := w * remaining / weightSum
+			if d < share {
 				alloc[i] = d
 				remaining -= d
 				changed = true
+			} else {
+				alloc[i] = -share
+				next += w
 			}
 		}
 		if !changed {
-			for i := 0; i < n; i++ {
-				if alloc[i] == unpinned {
-					alloc[i] = weight(i) * remaining / weightSum
-				}
+			// Clearing the sign bit turns every negated share back into the
+			// share and leaves the pinned δ values as they are.
+			for i, a := range alloc {
+				alloc[i] = math.Abs(a)
 			}
-			break
+			return dst
+		}
+		weightSum = next
+	}
+	// No unpinned weight left: every task is pinned (or there are none).
+	for i, a := range alloc {
+		if isUnpinned(a) {
+			alloc[i] = 0
 		}
 	}
 	return dst
 }
 
-// ShareAllocationModelFunc is the model-aware form of the sharing rule: the
-// per-task pinning cap of the fixed point is min(δ_i, Model.MaxUseful(i)) —
-// the smallest allocation at which the speedup model's rate peaks — instead
-// of δ_i alone. For the paper's linear-cap model MaxUseful is exactly δ, so
-// this degenerates to ShareAllocationFunc; a model whose rate saturates
-// earlier pins tasks at the point of diminishing returns and redistributes
-// the processors they could not use. Shapes are read through shape(i), the
-// same accessor convention as ShareAllocationFunc, so the call allocates
-// nothing when dst has spare capacity.
-func ShareAllocationModelFunc(dst []float64, p float64, n int, m speedup.Model, weight func(int) float64, shape func(int) speedup.TaskShape) []float64 {
-	return ShareAllocationFunc(dst, p, n, weight, func(i int) float64 {
-		s := shape(i)
-		return math.Min(s.Delta, m.MaxUseful(s))
-	})
-}
+// unpinned marks a task whose share is still being negotiated by the fixed
+// point. Pinned tasks hold their δ (non-negative, so sign bit clear); tasks
+// left unpinned by a pass hold the negated share that pass computed, so the
+// sign bit alone is the "still unpinned" flag and no separate bool scratch is
+// needed. Negation is exact, so undoing it yields the share bit for bit.
+var unpinned = math.Copysign(0, -1)
+
+func isUnpinned(a float64) bool { return math.Signbit(a) }
 
 // EquipartitionAllocation is the unweighted DEQ sharing rule: every active
 // task has weight one.
@@ -116,9 +110,7 @@ func EquipartitionAllocation(p float64, deltas []float64) []float64 {
 // EquipartitionAllocationInto is EquipartitionAllocation with the
 // append-into-dst convention of ShareAllocationInto.
 func EquipartitionAllocationInto(dst []float64, p float64, deltas []float64) []float64 {
-	return ShareAllocationFunc(dst, p, len(deltas),
-		func(int) float64 { return 1 },
-		func(i int) float64 { return deltas[i] })
+	return ShareAllocationInto(dst, p, nil, deltas)
 }
 
 // RunWDEQ simulates the non-clairvoyant WDEQ algorithm (Algorithm 1 of the

@@ -1,13 +1,13 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"github.com/malleable-sched/malleable/internal/numeric"
 	"github.com/malleable-sched/malleable/internal/schedule"
-	"github.com/malleable-sched/malleable/internal/speedup"
 )
 
 func TestShareAllocationProportional(t *testing.T) {
@@ -289,46 +289,116 @@ func TestShareAllocationIntoZeroAlloc(t *testing.T) {
 	}
 }
 
-// saturatingModel is a test model whose rate peaks at 1 processor, so the
-// model-aware sharing rule must pin every task at 1 regardless of δ.
-type saturatingModel struct{ speedup.LinearCap }
-
-func (saturatingModel) MaxUseful(t speedup.TaskShape) float64 { return 1 }
-
-// ShareAllocationModelFunc must degenerate to the plain rule under the
-// paper's linear model (MaxUseful = δ) and pin tasks at the model's
-// saturation point when the model saturates earlier.
-func TestShareAllocationModelFunc(t *testing.T) {
-	weights := []float64{1, 2, 3, 4}
-	deltas := []float64{1, 1, 2, 8}
-	shape := func(i int) speedup.TaskShape { return speedup.TaskShape{Delta: deltas[i]} }
-	weight := func(i int) float64 { return weights[i] }
-
-	plain := ShareAllocationFunc(nil, 4, len(weights), weight, func(i int) float64 { return deltas[i] })
-	linear := ShareAllocationModelFunc(nil, 4, len(weights), speedup.LinearCap{}, weight, shape)
-	for i := range plain {
-		if linear[i] != plain[i] {
-			t.Errorf("linear model diverges from plain rule at %d: %g vs %g", i, linear[i], plain[i])
+// referenceShareAllocation is the sharing rule as first written: a sentinel
+// marks unpinned tasks, and every pass sums the unpinned weights in one loop
+// and pins in a second; the pass that pins nothing recomputes the shares of
+// the tasks left unpinned. ShareAllocationInto must reproduce it bit for bit
+// (FuzzShareAllocation). A nil weights slice means unit weights.
+func referenceShareAllocation(p float64, weights, deltas []float64) []float64 {
+	const sentinel = -1
+	n := len(deltas)
+	weight := func(i int) float64 {
+		if weights == nil {
+			return 1
 		}
+		return weights[i]
 	}
-
-	// PowerLaw and Amdahl rates are strictly increasing up to δ, so they too
-	// must reproduce the plain rule exactly.
-	for _, m := range []speedup.Model{speedup.PowerLaw{Alpha: 0.5}, speedup.Amdahl{Sigma: 0.3}} {
-		got := ShareAllocationModelFunc(nil, 4, len(weights), m, weight, shape)
-		for i := range plain {
-			if got[i] != plain[i] {
-				t.Errorf("%s diverges from plain rule at %d: %g vs %g", m.Name(), i, got[i], plain[i])
+	alloc := make([]float64, n)
+	for i := range alloc {
+		alloc[i] = sentinel
+	}
+	remaining := p
+	for {
+		var weightSum float64
+		for i := 0; i < n; i++ {
+			if alloc[i] == sentinel {
+				weightSum += weight(i)
 			}
 		}
-	}
-
-	// A model saturating at 1 processor pins everyone at 1: with P=4 and four
-	// tasks, each gets exactly its useful maximum.
-	sat := ShareAllocationModelFunc(nil, 4, len(weights), saturatingModel{}, weight, shape)
-	for i, a := range sat {
-		if a != 1 {
-			t.Errorf("saturating model: task %d allocated %g, want 1", i, a)
+		if weightSum <= 0 {
+			for i := 0; i < n; i++ {
+				if alloc[i] == sentinel {
+					alloc[i] = 0
+				}
+			}
+			return alloc
+		}
+		changed := false
+		for i := 0; i < n; i++ {
+			if alloc[i] != sentinel {
+				continue
+			}
+			share := weight(i) * remaining / weightSum
+			if d := deltas[i]; d < share {
+				alloc[i] = d
+				remaining -= d
+				changed = true
+			}
+		}
+		if !changed {
+			for i := 0; i < n; i++ {
+				if alloc[i] == sentinel {
+					alloc[i] = weight(i) * remaining / weightSum
+				}
+			}
+			return alloc
 		}
 	}
+}
+
+// FuzzShareAllocation checks the one-loop-per-pass fixed point against the
+// two-loops-per-pass reference with math.Float64bits over random weights
+// (real, integer or unit), degree bounds (real, or integer so shares tie δ
+// exactly) and capacities (real or integer, zero included). The mode bits
+// pick the families; the seed draws the values.
+func FuzzShareAllocation(f *testing.F) {
+	for _, seed := range []int64{1, 2, 3, 97} {
+		for mode := uint8(0); mode < 16; mode++ {
+			f.Add(seed, uint8(7), uint8(8), uint16(0), mode)
+		}
+	}
+	f.Add(int64(5), uint8(0), uint8(8), uint16(0), uint8(0))
+	f.Add(int64(6), uint8(32), uint8(0), uint16(0), uint8(5))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, pInt uint8, pFrac uint16, mode uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		n := int(nRaw % 33)
+		p := float64(pInt % 65)
+		if mode&1 == 0 {
+			p += float64(pFrac) / 65536
+		}
+		var weights []float64
+		if mode&8 == 0 {
+			weights = make([]float64, n)
+			for i := range weights {
+				if mode&2 != 0 {
+					weights[i] = float64(1 + rng.Intn(8))
+				} else {
+					weights[i] = 1e-3 + 10*rng.Float64()
+				}
+			}
+		}
+		deltas := make([]float64, n)
+		for i := range deltas {
+			if mode&4 != 0 {
+				deltas[i] = float64(rng.Intn(9))
+			} else {
+				deltas[i] = 1.5 * p * rng.Float64()
+			}
+		}
+		want := referenceShareAllocation(p, weights, deltas)
+		prefix := []float64{-7, math.Inf(1)}
+		got := ShareAllocationInto(append(make([]float64, 0, 2+n), prefix...), p, weights, deltas)
+		if len(got) != len(prefix)+n {
+			t.Fatalf("got %d entries, want %d", len(got), len(prefix)+n)
+		}
+		if got[0] != prefix[0] || got[1] != prefix[1] {
+			t.Fatalf("prefix clobbered: %v", got[:2])
+		}
+		for i, w := range want {
+			if g := got[len(prefix)+i]; math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("p=%v weights=%v deltas=%v: share %d = %v (%#x), reference %v (%#x)",
+					p, weights, deltas, i, g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+		}
+	})
 }

@@ -58,18 +58,19 @@ type TaskState struct {
 	Remaining float64
 }
 
-// shape projects the state down to what the speedup model may read.
-func (t TaskState) shape() speedup.TaskShape {
-	return speedup.TaskShape{Delta: t.Delta, Curve: t.Curve}
-}
-
 // Policy is an online allocation policy. Allocate follows the append-into-dst
 // convention of the zero-allocation hot path: the engine passes a reusable
 // buffer re-sliced to length zero, the policy appends one entry per alive
 // task and returns the extended slice, aligned with alive. Entries must be
 // non-negative, at most the task's Delta, and sum to at most p (the capacity
-// available at this event). The engine validates these conditions and aborts
-// the run if a policy violates them.
+// available at this event). The engine validates these conditions against
+// its own copy of each task's degree bound and aborts the run if a policy
+// violates them.
+//
+// alive is read-only. It is the engine's persistent view of the alive set:
+// the same backing array is kept up to date across calls, so a policy that
+// writes to it corrupts what it (and the next policy call) observes — and can
+// never widen a degree bound, since validation and rates do not read it.
 //
 // Policies must be safe for concurrent use by multiple engine shards; all
 // bundled policies are stateless values. A policy that needs internal scratch
@@ -80,7 +81,7 @@ type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
 	// Allocate appends the allocation of the alive tasks to dst and returns
-	// the extended slice.
+	// the extended slice. It must not modify alive.
 	Allocate(p float64, alive []TaskState, dst []float64) []float64
 }
 
@@ -323,6 +324,13 @@ type liveTask struct {
 	id                   int
 	remaining, processed float64
 
+	// delta is the effective degree bound min(δ, budget) at the current
+	// event — the engine-owned copy that allocations are validated against
+	// and rates are computed from (policies only ever see the view's copy).
+	// tol is the retirement tolerance 1e-9·max(1, volume), fixed at
+	// admission.
+	delta, tol float64
+
 	// Virtual-clock state, valid while the run's policy certifies
 	// equal-share (EqualShareCertifier): w is the certified share weight,
 	// dratio = min(Delta, p)/w is the eligibility key (the fast path engages
@@ -353,10 +361,19 @@ type liveTask struct {
 type Runner struct {
 	order  []int
 	live   []liveTask
-	states []TaskState
 	alloc  []float64
 	rates  []float64
 	sorter arrivalSorter
+
+	// states is the policy's view of the alive set, slot-aligned with live
+	// while statesValid: states[k] is live[k].state(). Admission appends to
+	// it, removeSlot swap-deletes it alongside live and the fallback decrement
+	// sweep writes Remaining/Processed in place, so a fallback event does not
+	// rebuild it. It is rebuilt in full at the first fallback event after
+	// start, Restore or a virtual segment (which invalidate it), and at every
+	// event of a run whose capacity varies (where Delta moves).
+	states      []TaskState
+	statesValid bool
 
 	// Event-core scratch (CoreAuto): the calendar queue over virtual
 	// completion keys, the delta-ratio eligibility heap, the fallback
@@ -581,6 +598,7 @@ type Stepper struct {
 	sink   MetricSink
 
 	model       speedup.Model
+	linear      bool // model is speedup.LinearCap: rate = min(alloc, delta), inlined
 	budgeter    speedup.Budgeter
 	budgetBound int
 	maxEvents   int
@@ -699,6 +717,7 @@ func (r *Runner) start(res *Result, p float64, policy Policy, src arrivalSource,
 		src:         src,
 		sink:        sink,
 		model:       model,
+		linear:      speedup.IsLinear(model),
 		budgeter:    budgeter,
 		budgetBound: budgetBound,
 		maxEvents:   opts.MaxEvents,
@@ -726,6 +745,7 @@ func (r *Runner) start(res *Result, p float64, policy Policy, src arrivalSource,
 	}
 	r.cal.valid = false
 	r.qth.valid = false
+	r.statesValid = false
 	// The event safety bound starts at its zero-admissions value and grows
 	// incrementally at admit time (+4 per task), so process() never has to
 	// recompute it per event.
@@ -1067,12 +1087,22 @@ func (st *Stepper) stepOnce() (bool, error) {
 			st.vnow += st.vrate * dt
 		} else {
 			r := st.r
+			var view []TaskState
+			if r.statesValid {
+				view = r.states
+			}
 			for k := range r.live {
-				if r.rates[k] <= 0 {
+				rate := r.rates[k]
+				if rate <= 0 {
 					continue
 				}
-				r.live[k].remaining -= r.rates[k] * dt
-				r.live[k].processed += r.rates[k] * dt
+				lt := &r.live[k]
+				lt.remaining -= rate * dt
+				lt.processed += rate * dt
+				if view != nil {
+					view[k].Remaining = lt.remaining
+					view[k].Processed = lt.processed
+				}
 			}
 		}
 		st.now += dt
@@ -1107,13 +1137,21 @@ func (st *Stepper) process() (bool, error) {
 	// admitted). Doing both before the policy call coalesces simultaneous
 	// arrivals and completions into one event.
 	for st.havePending && st.pending.Release <= st.now {
-		lt := liveTask{arr: st.pending, id: st.pendingID, remaining: st.pending.Task.Volume}
+		lt := liveTask{
+			arr:       st.pending,
+			id:        st.pendingID,
+			remaining: st.pending.Task.Volume,
+			// Runs with a time-varying capacity recompute delta at every
+			// event; everywhere else the budget is the constant p.
+			delta: math.Min(st.pending.Task.Delta, st.p),
+			tol:   1e-9 * math.Max(1, st.pending.Task.Volume),
+		}
 		if st.certified {
 			lt.w = st.weigher.EqualShareWeight(st.pending.Task.Weight)
-			lt.dratio = math.Min(st.pending.Task.Delta, st.p) / lt.w
-			// The completion tolerance of the fallback path (remaining ≤
-			// 1e-9·max(1, volume)) mapped into key space.
-			lt.ktol = 1e-9 * math.Max(1, st.pending.Task.Volume) / lt.w
+			lt.dratio = lt.delta / lt.w
+			// The completion tolerance of the fallback path mapped into key
+			// space.
+			lt.ktol = lt.tol / lt.w
 			st.wsum += lt.w
 			if st.virtual {
 				lt.key = st.vnow + lt.remaining/lt.w
@@ -1121,6 +1159,9 @@ func (st *Stepper) process() (bool, error) {
 		}
 		slot := len(r.live)
 		r.live = append(r.live, lt)
+		if r.statesValid {
+			r.states = append(r.states, lt.state())
+		}
 		if st.core == CoreAuto {
 			if r.drh.valid {
 				r.drh.push(slot, lt.dratio)
@@ -1146,7 +1187,7 @@ func (st *Stepper) process() (bool, error) {
 	} else {
 		for k := 0; k < len(r.live); {
 			lt := &r.live[k]
-			if lt.remaining > 1e-9*math.Max(1, lt.arr.Task.Volume) {
+			if lt.remaining > lt.tol {
 				k++
 				continue
 			}
@@ -1216,23 +1257,22 @@ func (st *Stepper) process() (bool, error) {
 	}
 	st.stats.FallbackEvents++
 
-	r.states = r.states[:0]
-	for i := range r.live {
-		lt := &r.live[i]
-		r.states = append(r.states, TaskState{
-			ID:        lt.id,
-			Tenant:    lt.arr.Tenant,
-			Release:   lt.arr.Release,
-			Weight:    lt.arr.Task.Weight,
-			Delta:     math.Min(lt.arr.Task.Delta, budget),
-			Curve:     lt.arr.Task.Curve,
-			Processed: lt.processed,
-			Remaining: lt.remaining,
-		})
+	if st.budgeter != nil {
+		for i := range r.live {
+			r.live[i].delta = math.Min(r.live[i].arr.Task.Delta, budget)
+		}
+		r.statesValid = false
+	}
+	if !r.statesValid {
+		r.states = r.states[:0]
+		for i := range r.live {
+			r.states = append(r.states, r.live[i].state())
+		}
+		r.statesValid = true
 	}
 	r.alloc = st.policy.Allocate(budget, r.states, r.alloc[:0])
 	alloc := r.alloc
-	total, err := validateAllocation(budget, r.states, alloc)
+	total, err := validateAllocation(budget, r.live, alloc)
 	if err != nil {
 		st.err = fmt.Errorf("engine: policy %q: %w", st.policy.Name(), err)
 		return false, st.err
@@ -1258,10 +1298,7 @@ func (st *Stepper) process() (bool, error) {
 		dt = st.fallbackDt(alloc)
 	} else {
 		for k := range r.live {
-			rate := 0.0
-			if alloc[k] > 0 {
-				rate = st.model.Rate(r.states[k].shape(), alloc[k])
-			}
+			rate := st.rate(&r.live[k], alloc[k])
 			r.rates = append(r.rates, rate)
 			if rate <= 0 {
 				continue
@@ -1274,6 +1311,42 @@ func (st *Stepper) process() (bool, error) {
 	st.dtComp = dt
 	st.decided = true
 	return true, nil
+}
+
+// state is the slot's projection into the policy's view.
+func (lt *liveTask) state() TaskState {
+	return TaskState{
+		ID:        lt.id,
+		Tenant:    lt.arr.Tenant,
+		Release:   lt.arr.Release,
+		Weight:    lt.arr.Task.Weight,
+		Delta:     lt.delta,
+		Curve:     lt.arr.Task.Curve,
+		Processed: lt.processed,
+		Remaining: lt.remaining,
+	}
+}
+
+// rate is the processing rate of slot lt at allocation a under the run's
+// model. The linear model's rate is inlined: LinearCap.Rate's own
+// expression, min(a, delta) (the builtin has math.Min's semantics), without
+// the interface call.
+func (st *Stepper) rate(lt *liveTask, a float64) float64 {
+	if a <= 0 {
+		return 0
+	}
+	if !st.linear {
+		return st.modelRate(lt, a)
+	}
+	return min(a, lt.delta)
+}
+
+// modelRate is the interface-call half of rate, kept out of line so rate
+// inlines into the event loops.
+//
+//go:noinline
+func (st *Stepper) modelRate(lt *liveTask, a float64) float64 {
+	return st.model.Rate(speedup.TaskShape{Delta: lt.delta, Curve: lt.arr.Task.Curve}, a)
 }
 
 // emitRetired records one completed task at the current time: the sink row
@@ -1320,6 +1393,10 @@ func (st *Stepper) removeSlot(k int) {
 		}
 	}
 	last := len(r.live) - 1
+	if r.statesValid {
+		r.states[k] = r.states[last]
+		r.states = r.states[:last]
+	}
 	if k != last {
 		r.live[k] = r.live[last]
 		if st.core == CoreAuto {
@@ -1413,6 +1490,9 @@ func (st *Stepper) enterVirtual() {
 	r := st.r
 	st.stats.Transitions++
 	st.virtual = true
+	// Virtual segments integrate no per-slot remaining, so the view cannot
+	// follow them; the fallback event after the segment rebuilds it.
+	r.statesValid = false
 	for i := range r.live {
 		lt := &r.live[i]
 		lt.key = st.vnow + lt.remaining/lt.w
@@ -1456,10 +1536,7 @@ func (st *Stepper) fallbackDt(alloc []float64) float64 {
 	active := 0
 	dtScan := math.Inf(1)
 	for k := range r.live {
-		rate := 0.0
-		if alloc[k] > 0 {
-			rate = st.model.Rate(r.states[k].shape(), alloc[k])
-		}
+		rate := st.rate(&r.live[k], alloc[k])
 		r.rates = append(r.rates, rate)
 		if rate > 0 {
 			active++
@@ -1555,18 +1632,19 @@ func (s *arrivalSorter) Less(i, j int) bool {
 }
 
 // validateAllocation checks a policy's output against the engine contract
-// and returns the allocated total (the Stepper's Allocated() snapshot).
-func validateAllocation(p float64, states []TaskState, alloc []float64) (float64, error) {
-	if len(alloc) != len(states) {
-		return 0, fmt.Errorf("allocation has %d entries for %d alive tasks", len(alloc), len(states))
+// and returns the allocated total (the Stepper's Allocated() snapshot). The
+// degree bounds are the engine-owned slot copies, never the policy's view.
+func validateAllocation(p float64, live []liveTask, alloc []float64) (float64, error) {
+	if len(alloc) != len(live) {
+		return 0, fmt.Errorf("allocation has %d entries for %d alive tasks", len(alloc), len(live))
 	}
 	var total float64
 	for k, a := range alloc {
 		if a < -1e-9 || math.IsNaN(a) {
-			return 0, fmt.Errorf("negative allocation %g for task %d", a, states[k].ID)
+			return 0, fmt.Errorf("negative allocation %g for task %d", a, live[k].id)
 		}
-		if a > states[k].Delta+1e-6 {
-			return 0, fmt.Errorf("allocation %g for task %d exceeds its degree bound %g", a, states[k].ID, states[k].Delta)
+		if a > live[k].delta+1e-6 {
+			return 0, fmt.Errorf("allocation %g for task %d exceeds its degree bound %g", a, live[k].id, live[k].delta)
 		}
 		total += a
 	}

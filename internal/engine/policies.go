@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -12,7 +13,7 @@ import (
 // WDEQPolicy is the weighted dynamic equipartition of the paper's Algorithm 1:
 // the available capacity is split between the alive tasks proportionally to
 // their weights, tasks whose share exceeds their degree bound are pinned at δ
-// and the surplus is redistributed (core.ShareAllocationFunc's fixed point).
+// and the surplus is redistributed (core.ShareAllocationInto's fixed point).
 // It is non-clairvoyant — it never reads volumes — and is the library's
 // default policy.
 type WDEQPolicy struct{}
@@ -20,13 +21,17 @@ type WDEQPolicy struct{}
 // Name implements Policy.
 func (WDEQPolicy) Name() string { return "WDEQ" }
 
-// Allocate implements Policy. It reads weights and degree bounds through
-// accessors, so it performs no allocation when dst has spare capacity.
+// Allocate implements Policy. This stateless form allocates weight and degree
+// scratch per call; the engine's run loop uses the scratch-holding clone from
+// CloneForRun instead, which is allocation-free in steady state.
 func (WDEQPolicy) Allocate(p float64, alive []TaskState, dst []float64) []float64 {
-	return core.ShareAllocationFunc(dst, p, len(alive),
-		func(i int) float64 { return alive[i].Weight },
-		func(i int) float64 { return alive[i].Delta })
+	var s shareRun
+	return s.Allocate(p, alive, dst)
 }
+
+// CloneForRun implements RunCloner: the clone gathers weights and degree
+// bounds into its own scratch, so a whole run allocates nothing per event.
+func (WDEQPolicy) CloneForRun() Policy { return &shareRun{} }
 
 // EqualShareWeight implements EqualShareCertifier: with no task pinned at its
 // degree bound, the share fixed point is exactly the weight-proportional
@@ -41,16 +46,63 @@ type DEQPolicy struct{}
 // Name implements Policy.
 func (DEQPolicy) Name() string { return "DEQ" }
 
-// Allocate implements Policy.
+// Allocate implements Policy. See WDEQPolicy.Allocate for the
+// stateless-versus-cloned trade-off.
 func (DEQPolicy) Allocate(p float64, alive []TaskState, dst []float64) []float64 {
-	return core.ShareAllocationFunc(dst, p, len(alive),
-		func(int) float64 { return 1 },
-		func(i int) float64 { return alive[i].Delta })
+	s := shareRun{unit: true}
+	return s.Allocate(p, alive, dst)
 }
+
+// CloneForRun implements RunCloner.
+func (DEQPolicy) CloneForRun() Policy { return &shareRun{unit: true} }
 
 // EqualShareWeight implements EqualShareCertifier: DEQ splits capacity
 // evenly, i.e. proportionally to the constant weight 1.
 func (DEQPolicy) EqualShareWeight(float64) float64 { return 1 }
+
+// shareRun is the per-run clone of WDEQ (unit false) and DEQ (unit true). It
+// gathers the alive set's weights and degree bounds into slices it owns and
+// runs the sharing rule on them. It carries the equal-share certificate of
+// the policy it was cloned from: without it the engine would never take the
+// virtual-clock fast path for the cloned run.
+type shareRun struct {
+	unit bool
+	w, d []float64
+}
+
+// Name implements Policy.
+func (s *shareRun) Name() string {
+	if s.unit {
+		return DEQPolicy{}.Name()
+	}
+	return WDEQPolicy{}.Name()
+}
+
+// Allocate implements Policy.
+func (s *shareRun) Allocate(p float64, alive []TaskState, dst []float64) []float64 {
+	n := len(alive)
+	s.d = slices.Grow(s.d[:0], n)[:n]
+	if s.unit {
+		for i := range alive {
+			s.d[i] = alive[i].Delta
+		}
+		return core.EquipartitionAllocationInto(dst, p, s.d)
+	}
+	s.w = slices.Grow(s.w[:0], n)[:n]
+	for i := range alive {
+		s.w[i] = alive[i].Weight
+		s.d[i] = alive[i].Delta
+	}
+	return core.ShareAllocationInto(dst, p, s.w, s.d)
+}
+
+// EqualShareWeight implements EqualShareCertifier.
+func (s *shareRun) EqualShareWeight(weight float64) float64 {
+	if s.unit {
+		return 1
+	}
+	return weight
+}
 
 // PriorityPolicy allocates the platform greedily following a fixed priority
 // list: the highest-priority alive task receives min(δ, what is left), then

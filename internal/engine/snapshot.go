@@ -240,6 +240,7 @@ func (st *Stepper) Restore(snap *StepperSnapshot) error {
 	r.cal.valid = false
 	r.drh.valid = false
 	r.qth.valid = false
+	r.statesValid = false
 
 	res := st.res
 	res.Completed = snap.completed

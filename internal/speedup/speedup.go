@@ -49,17 +49,18 @@ type TaskShape struct {
 }
 
 // Model maps an allocation of processors to an instantaneous processing rate.
-// The engine's event loop is written entirely against this interface: it
-// computes the next completion as TimeToProcess(shape, alloc, remaining) and
-// advances per-task progress by Rate(shape, alloc)·dt.
+// The engine's event loop is written against this interface: it computes
+// the next completion as TimeToProcess(shape, alloc, remaining) and advances
+// per-task progress by Rate(shape, alloc)·dt. Under LinearCap (IsLinear) it
+// evaluates LinearCap.Rate's expression min(alloc, δ) inline instead.
 //
 // Contract: Rate must be non-negative, non-decreasing in procs on [0, Delta],
 // and zero at procs = 0. TimeToProcess must be the exact inverse of Rate for
 // constant allocations: TimeToProcess(t, q, v) = v / Rate(t, q) (and +Inf
 // when the rate is zero). MaxUseful returns the smallest allocation achieving
-// the task's peak rate — the point beyond which processors are wasted — which
-// the model-aware equipartition variant (core.ShareAllocationModelFunc)
-// offers custom policies as the pinning cap of the fixed point; for every
+// the task's peak rate — the point beyond which processors are wasted. A
+// custom policy may pass min(δ, MaxUseful) as the degree bounds of the
+// sharing rule (core.ShareAllocationInto) to pin tasks there; for every
 // bundled model it equals the degree bound, so the bundled policies use the
 // plain rule.
 type Model interface {
