@@ -508,55 +508,6 @@ func TestServeLoadtestCluster(t *testing.T) {
 	}
 }
 
-// A speculative cluster spec reports its misprediction cost in the response
-// and mirrors it into the server's rollback counter; the scheduling results
-// themselves are byte-identical to the conservative run's.
-func TestServeLoadtestSpeculate(t *testing.T) {
-	srv := httptest.NewServer(newServeMux(false))
-	defer srv.Close()
-	spec := testSpec()
-	spec.Router = "least-backlog"
-	spec.Workers = 2
-	spec.Speculate = true
-	body, _ := json.Marshal(spec)
-	resp, err := http.Post(srv.URL+"/v1/loadtest", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("speculative loadtest status = %d", resp.StatusCode)
-	}
-	var out struct {
-		Speculate    *bool `json:"speculate"`
-		Rollbacks    *int  `json:"rollbacks"`
-		WastedEvents *int  `json:"wastedEvents"`
-		TotalTasks   int   `json:"totalTasks"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Speculate == nil || !*out.Speculate || out.Rollbacks == nil || out.WastedEvents == nil || out.TotalTasks != 400 {
-		t.Fatalf("speculative response = %+v", out)
-	}
-	if *out.Rollbacks < 0 || *out.WastedEvents < 0 {
-		t.Errorf("negative misprediction cost: rollbacks=%d wasted=%d", *out.Rollbacks, *out.WastedEvents)
-	}
-
-	mresp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	text, err := io.ReadAll(mresp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(text), fmt.Sprintf("mwct_cluster_rollbacks_total %d", *out.Rollbacks)) {
-		t.Errorf("rollback counter not mirrored into /metrics:\n%s", text)
-	}
-}
-
 // Cluster mode dispatches one global stream, so fewer tasks than shards is
 // legal (unused shards drain empty); the per-shard minimum only applies to
 // the independent-streams split.
@@ -578,13 +529,13 @@ func TestLoadtestClusterFewerTasksThanShards(t *testing.T) {
 	}
 }
 
-// The cmd-layer face of the parallel coordinator's contract: the rendered
-// report — header aside — must be byte-identical at every worker count.
+// The cmd-layer face of the coordinator's contract: the rendered report —
+// header aside — must be byte-identical at every worker count, for both
+// exact-view state-reading routers.
 func TestLoadtestReportWorkersByteIdentical(t *testing.T) {
 	spec := testSpec()
 	spec.Tenants = "gold:4:0.5,bronze:1:0.5"
 	spec.TenantSkew = 1.2
-	spec.Router = "least-backlog"
 	body := func(workers int) string {
 		spec.Workers = workers
 		var buf bytes.Buffer
@@ -598,32 +549,17 @@ func TestLoadtestReportWorkersByteIdentical(t *testing.T) {
 		}
 		return rest
 	}
-	sequential := body(0)
-	for _, workers := range []int{1, 3, 8} {
-		if got := body(workers); got != sequential {
-			t.Errorf("workers=%d report diverges from sequential:\n%s\nvs\n%s", workers, got, sequential)
+	for _, router := range []string{"least-backlog", "po2"} {
+		spec.Router = router
+		sequential := body(0)
+		for _, workers := range []int{1, 2, 3, 8} {
+			if got := body(workers); got != sequential {
+				t.Errorf("%s workers=%d report diverges from sequential:\n%s\nvs\n%s", router, workers, got, sequential)
+			}
 		}
-	}
-	// The speculative coordinator honors the same stdout contract: only the
-	// header names the mode, the body is byte-identical.
-	spec.Speculate = true
-	for _, workers := range []int{2, 4} {
-		if got := body(workers); got != sequential {
-			t.Errorf("speculate workers=%d report diverges from sequential:\n%s\nvs\n%s", workers, got, sequential)
+		if !strings.Contains(sequential, "aggregate: tasks=400") {
+			t.Errorf("%s report body looks wrong:\n%s", router, sequential)
 		}
-	}
-	spec.Workers = 4
-	var buf bytes.Buffer
-	if err := loadtestReport(&buf, spec); err != nil {
-		t.Fatal(err)
-	}
-	header, _, _ := strings.Cut(buf.String(), "\n")
-	if !strings.Contains(header, "speculate=true") {
-		t.Errorf("speculative header does not name the mode: %q", header)
-	}
-	spec.Speculate = false
-	if !strings.Contains(sequential, "aggregate: tasks=400") {
-		t.Errorf("report body looks wrong:\n%s", sequential)
 	}
 }
 
@@ -633,10 +569,64 @@ func TestLoadtestWorkersNeedRouter(t *testing.T) {
 	if _, _, err := runLoadtestSpec(spec); err == nil || !strings.Contains(err.Error(), "-router") {
 		t.Errorf("workers without router: err = %v, want a -router hint", err)
 	}
-	spec = testSpec()
-	spec.Speculate = true
-	if _, _, err := runLoadtestSpec(spec); err == nil || !strings.Contains(err.Error(), "-router") {
-		t.Errorf("speculate without router: err = %v, want a -router hint", err)
+}
+
+// An explicit "workers" in a /v1/loadtest spec never changes the response
+// bytes, whichever run loop it selects: sequential for the exact-view
+// routers, batched for the state-free ones, stale-batched under "stale".
+func TestServeLoadtestWorkersByteIdentical(t *testing.T) {
+	srv := httptest.NewServer(newServeMux(false))
+	defer srv.Close()
+	post := func(spec loadtestSpec) []byte {
+		t.Helper()
+		body, _ := json.Marshal(spec)
+		resp, err := http.Post(srv.URL+"/v1/loadtest", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("loadtest status = %d: %s", resp.StatusCode, out)
+		}
+		return out
+	}
+	cases := []struct {
+		router string
+		stale  bool
+	}{
+		{router: "least-backlog"},
+		{router: "po2"},
+		{router: "round-robin"},
+		{router: "hash-tenant"},
+		{router: "least-backlog", stale: true},
+	}
+	for _, tc := range cases {
+		name := tc.router
+		if tc.stale {
+			name += "/stale"
+		}
+		t.Run(name, func(t *testing.T) {
+			spec := testSpec()
+			spec.Router = tc.router
+			spec.Stale = tc.stale
+			want := post(spec)
+			var out struct {
+				TotalTasks int `json:"totalTasks"`
+			}
+			if err := json.Unmarshal(want, &out); err != nil || out.TotalTasks != 400 {
+				t.Fatalf("response = %s (err %v), want 400 tasks", want, err)
+			}
+			for _, workers := range []int{1, 2, 8} {
+				spec.Workers = workers
+				if got := post(spec); !bytes.Equal(got, want) {
+					t.Errorf("workers=%d changed the response:\n%s\nvs workers=0\n%s", workers, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -73,9 +73,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// Workers > 1 advances the shards on a worker pool between routing
-		// decisions; the report is byte-identical to a sequential run — the
-		// knob only changes wall-clock time.
+		// Workers > 1 advances the shards on a worker pool under the
+		// state-free routers (round-robin, hash-tenant); least-backlog and
+		// po2 read exact fleet state and run sequentially. The report is
+		// byte-identical either way — the knob only changes wall-clock time.
 		res, err := malleable.Run(malleable.RunSpec{
 			P:       perShard,
 			Policy:  policy,

@@ -15,15 +15,18 @@
 // same report, at any GOMAXPROCS.
 //
 // Determinism does not require a single goroutine, only a single ORDER.
-// Routing is the sole cross-shard interaction, so between two routing
-// decisions every shard's events are independent of every other shard's:
-// the coordinator may advance shards concurrently through the lookahead
-// window bounded by the next dispatch time (conservative parallel
-// discrete-event simulation) and synchronize only where the router needs an
-// exact fleet snapshot. Config.Workers selects that mode; the results —
+// Routing is the sole cross-shard interaction, so a router that never reads
+// fleet state (StateFreeRouter) lets the coordinator pre-route a window of
+// arrivals and advance every shard through it concurrently, with one
+// barrier per window; a WindowStaleRouter under Config.StaleRouting does the
+// same from a fleet view published once per window. Config.Workers sets how
+// many goroutines advance the shards in those two modes, and the results —
 // dispatch sequence, merged LoadResult, shared-sink order, fleet-probe
-// observations — are bit-identical to the sequential coordinator's at any
-// worker count, which the test suite asserts.
+// observations — are bit-identical at every worker count, which the test
+// suite asserts. A router that reads exact fleet state at every dispatch
+// runs on the sequential coordinator whatever Workers says: on every host
+// measured, a full-fleet barrier per arrival cost more than the shard work
+// it overlapped (EXPERIMENTS.md, "Coordinator cull").
 package cluster
 
 import (
@@ -62,28 +65,15 @@ type Config struct {
 	// sequential coordinator regardless of Workers (the output stays
 	// byte-identical either way, which is the point).
 	Opts engine.Options
-	// Workers selects the coordinator's execution mode. 0 or 1 advances
-	// shards on the coordinator goroutine in global event order. Workers >= 2
-	// advances shards concurrently on that many pool workers between routing
-	// decisions — bounded by the next dispatch time, the conservative
-	// lookahead window — and is capped at Shards. Every observable output is
+	// Workers is the number of pool goroutines that advance shards
+	// concurrently, capped at Shards. It applies to state-free routers and
+	// to StaleRouting: with Workers >= 2 those modes run each dispatch
+	// window's shard work on the pool. An exact-view state-reading router,
+	// or any run with a probe (Probe or Opts.Probe), runs on the sequential
+	// coordinator whatever Workers says. Every observable output is
 	// byte-identical across all Workers settings; the knob trades goroutines
 	// for wall-clock time only.
 	Workers int
-	// Speculate switches the parallel coordinator (Workers >= 2) from
-	// conservative to optimistic execution: shards advance past the next
-	// dispatch horizon on checkpoints instead of parking at the barrier, and
-	// only the shard the router actually feeds is rolled back to its last
-	// pre-release checkpoint (see runSpeculative). For state-reading routers
-	// — whose conservative mode pays a full-fleet barrier per arrival — this
-	// is the wall-clock lever; for state-free routers the batched mode is
-	// usually already barrier-cheap. Output stays byte-identical to the
-	// sequential coordinator, like every other mode; the misprediction cost
-	// is reported in LoadResult.Rollbacks/WastedEvents. Ignored when Workers
-	// < 2 (sequential execution is already exact), and a run with
-	// Opts.TraceDecisions falls back to the conservative modes (decision
-	// traces cannot be checkpointed).
-	Speculate bool
 	// StaleRouting opts a state-reading router into window-stale dispatch,
 	// the stale-batched mode (see stale.go and the DESIGN.md section of the
 	// same name): the router's fleet view is published once per dispatch
@@ -98,9 +88,8 @@ type Config struct {
 	// sequential coordinator's. Requires a router declaring the
 	// WindowStaleRouter capability (least-backlog, po2); a state-free
 	// router ignores the flag (batched dispatch never reads the view), any
-	// other router is rejected. Takes precedence over Speculate and is
-	// incompatible with Opts.Probe (whose global event interleave needs the
-	// sequential coordinator).
+	// other router is rejected. Incompatible with Opts.Probe (whose global
+	// event interleave needs the sequential coordinator).
 	StaleRouting bool
 	// Prefetch overlaps arrival generation or trace decoding with shard
 	// execution: a single producer goroutine fills fixed-size buffers — one
@@ -112,17 +101,17 @@ type Config struct {
 	Prefetch bool
 	// Sink, when non-nil, observes every completed task of the whole fleet
 	// in a deterministic global order: ascending completion time, ties by
-	// shard index, exactly the order the sequential coordinator emits. With
-	// Workers >= 2 completions are buffered per shard during a window and
-	// replayed into Sink in that same order at the next barrier.
+	// shard index, exactly the order the sequential coordinator emits. The
+	// batched modes buffer completions per shard during a window and replay
+	// them into Sink in that same order at the next barrier.
 	Sink engine.MetricSink
 	// Probe, when non-nil, observes the fleet at dispatch time: it is handed
 	// the same exact per-shard snapshots the Router just saw (after the
 	// dispatch was counted), so probe output and routing decisions describe
 	// the same instant. A final observation fires after the fleet drains,
-	// with every shard's terminal counters. Fleet probing synchronizes the
-	// fleet at every dispatch, so with Workers >= 2 it keeps the per-dispatch
-	// barrier even under a StateFreeRouter. See Probe.
+	// with every shard's terminal counters. Fleet probing needs the fleet
+	// synchronized at every dispatch, so it pins a state-free router to the
+	// sequential coordinator. See Probe.
 	Probe Probe
 	// ProbeEveryDispatches fires the probe every k-th dispatch (k > 0); 0
 	// observes every dispatch. The snapshots are assembled for the router
@@ -142,7 +131,7 @@ type Probe interface {
 	ObserveFleet(now float64, shards []ShardState)
 }
 
-// coordinator is the per-run state shared by the sequential and parallel
+// coordinator is the per-run state shared by the sequential and batched
 // execution modes: the shard steppers and their result/sink columns, the
 // validated one-arrival lookahead into the global stream, and the scratch
 // the router and probe observe.
@@ -169,19 +158,12 @@ type coordinator struct {
 	// Sequential mode: the index-min heap over shard next-event times.
 	h shardHeap
 
-	// Parallel modes: the worker pool, and the per-shard completion buffers
-	// with their merge scratch (conservative modes only buffer when
-	// cfg.Sink is set; the speculative mode always buffers, since rollback
-	// must be able to discard rows).
+	// Batched modes: the worker pool (nil when they run serially), and,
+	// when cfg.Sink is set, the per-shard completion buffers with their
+	// merge scratch.
 	pool      *pool
 	bufs      []*sinkBuffer
 	flushHead []int
-
-	// Speculative mode: per-shard checkpoint state and the fleet-wide
-	// misprediction counters (see speculate.go).
-	spec      []*specShard
-	rollbacks int
-	wasted    int
 
 	// Stale-batched mode: window views published so far (see stale.go).
 	staleViews int
@@ -199,10 +181,10 @@ type coordinator struct {
 // time; per-task rows are never retained, so a run's memory is
 // O(shards · (alive tasks + sink size)) regardless of the stream length.
 //
-// With cfg.Workers >= 2 the shards advance concurrently between routing
-// decisions (see Config.Workers); the returned result and every configured
-// observer output are byte-identical to a sequential run of the same
-// configuration.
+// Run picks one of three run loops: StaleRouting runs runStaleBatched; a
+// state-free router with Workers >= 2 and no probe runs runBatched; every
+// other configuration runs runSequential. The returned result and every
+// configured observer output are byte-identical at every Workers setting.
 func Run(cfg Config, stream engine.ArrivalStream) (*engine.LoadResult, error) {
 	if stream == nil {
 		return nil, fmt.Errorf("cluster: nil arrival stream")
@@ -245,17 +227,15 @@ func Run(cfg Config, stream engine.ArrivalStream) (*engine.LoadResult, error) {
 
 	c := &coordinator{cfg: cfg, n: cfg.Shards, router: router, stream: stream}
 
-	workers := cfg.Workers
-	if workers > c.n {
-		workers = c.n
-	}
+	workers := min(cfg.Workers, c.n)
 	// Engine-level probes interleave every shard's rest states on one
 	// timeline — inherently sequential, so they pin the sequential mode.
 	parallel := workers >= 2 && cfg.Opts.Probe == nil
-	// Optimistic execution rides on Stepper.Snapshot, which cannot capture a
-	// decision trace, so traced runs stay on the conservative modes; the
-	// stale-batched mode needs no checkpoints and takes precedence.
-	speculative := parallel && cfg.Speculate && !cfg.Opts.TraceDecisions && !stale
+	// A state-free router dispatches without reading the fleet, so whole
+	// windows advance between barriers; a fleet probe wants an exact
+	// snapshot per dispatch and keeps such a router sequential.
+	sf, ok := router.(StateFreeRouter)
+	batched := parallel && ok && sf.StateFree() && cfg.Probe == nil
 
 	n := c.n
 	c.runners = make([]*engine.Runner, n)
@@ -265,7 +245,7 @@ func Run(cfg Config, stream engine.ArrivalStream) (*engine.LoadResult, error) {
 	c.steppers = make([]*engine.Stepper, n)
 	c.states = make([]ShardState, n)
 	c.dispatched = make([]int, n)
-	if (parallel || stale) && (cfg.Sink != nil || speculative) {
+	if (batched || stale) && cfg.Sink != nil {
 		c.bufs = make([]*sinkBuffer, n)
 		c.flushHead = make([]int, n)
 	}
@@ -275,22 +255,12 @@ func Run(cfg Config, stream engine.ArrivalStream) (*engine.LoadResult, error) {
 		c.results[i] = &engine.Result{}
 		c.aggs[i] = engine.NewAggregateSink()
 		c.sketches[i] = engine.NewSketchSink(0)
-		var sink engine.MetricSink
-		if speculative {
-			// Speculated completions must be discardable on rollback, so the
-			// stepper feeds ONLY the window buffer; the aggregate and sketch
-			// observe committed rows at flush time (flushSpec), never
-			// speculated ones.
+		shared := cfg.Sink
+		if c.bufs != nil {
 			c.bufs[i] = &sinkBuffer{}
-			sink = c.bufs[i]
-		} else {
-			shared := cfg.Sink
-			if c.bufs != nil {
-				c.bufs[i] = &sinkBuffer{}
-				shared = c.bufs[i]
-			}
-			sink = engine.MultiSink(c.aggs[i], c.sketches[i], shared)
+			shared = c.bufs[i]
 		}
+		sink := engine.MultiSink(c.aggs[i], c.sketches[i], shared)
 		st, err := c.runners[i].StartFeed(c.results[i], cfg.P, cfg.Policy, sink, cfg.Opts)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: shard %d: %w", i, err)
@@ -310,21 +280,12 @@ func Run(cfg Config, stream engine.ArrivalStream) (*engine.LoadResult, error) {
 		}
 		return c.runStaleBatched()
 	}
-	if !parallel {
+	if !batched {
 		return c.runSequential()
 	}
 	c.pool = newPool(workers, n)
 	defer c.pool.close()
-	if speculative {
-		return c.runSpeculative()
-	}
-	// A router that never reads fleet state dispatches without a barrier, so
-	// whole batches of arrivals advance concurrently; a fleet probe wants an
-	// exact snapshot per dispatch and keeps the per-dispatch window.
-	if sf, ok := router.(StateFreeRouter); ok && sf.StateFree() && cfg.Probe == nil {
-		return c.runBatched()
-	}
-	return c.runWindowed()
+	return c.runBatched()
 }
 
 // pull advances the global one-arrival lookahead, validating each arrival
@@ -452,88 +413,6 @@ func (c *coordinator) runSequential() (*engine.LoadResult, error) {
 	return c.finish()
 }
 
-// runWindowed is the conservative parallel mode for routers that read fleet
-// state: between consecutive dispatches the shards advance concurrently
-// through the window bounded by the next arrival's release, then the fleet
-// synchronizes so the router (and probe) observe exact snapshots — the same
-// snapshots the sequential interleave produces, because within a window no
-// shard's events depend on another shard's.
-func (c *coordinator) runWindowed() (*engine.LoadResult, error) {
-	var horizon float64
-	work := func(s int) error {
-		if _, err := c.steppers[s].StepUntil(horizon); err != nil {
-			return fmt.Errorf("cluster: shard %d: %w", s, err)
-		}
-		return nil
-	}
-	// The single-dispatch window: buffered completions all fall in one
-	// global window, so the merge key degenerates to (time, shard index).
-	release := make([]float64, 1)
-	advance := func(h float64) error {
-		soonest := math.Inf(1)
-		for _, st := range c.steppers {
-			if t := st.NextEventTime(); t < soonest {
-				soonest = t
-			}
-		}
-		// No shard has an event in the window — common under light backlog,
-		// where the next event IS the arrival. Skip the barrier entirely.
-		if math.IsInf(soonest, 1) || soonest > h {
-			return nil
-		}
-		horizon = h
-		release[0] = h
-		if c.bufs != nil {
-			for _, b := range c.bufs {
-				b.reset(release)
-			}
-		}
-		if err := c.pool.run(work); err != nil {
-			return err
-		}
-		if c.bufs != nil {
-			flushBuffers(c.bufs, c.cfg.Sink, c.flushHead)
-		}
-		return nil
-	}
-
-	next, ok, err := c.pull()
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("cluster: empty arrival stream")
-	}
-	for ok {
-		if err := advance(next.Release); err != nil {
-			return nil, err
-		}
-		c.fillStates()
-		idx, err := c.route(next)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.steppers[idx].Feed(next); err != nil {
-			return nil, fmt.Errorf("cluster: shard %d: %w", idx, err)
-		}
-		c.dispatched[idx]++
-		c.routed++
-		c.observeDispatch(idx, next.Release)
-		next, ok, err = c.pull()
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	for _, st := range c.steppers {
-		st.CloseFeed()
-	}
-	if err := advance(math.Inf(1)); err != nil {
-		return nil, err
-	}
-	return c.finish()
-}
-
 // shardBatch is one shard's dispatch subsequence of the current batch.
 type shardBatch struct {
 	arrivals []int32 // indices into the batch's arrival slice
@@ -639,29 +518,46 @@ func (c *coordinator) runBatched() (*engine.LoadResult, error) {
 			}
 		}
 		horizon = releases[len(releases)-1]
-		if c.bufs != nil {
-			for _, b := range c.bufs {
-				b.reset(releases)
-			}
-		}
-		if err := c.pool.run(work); err != nil {
+		if err := c.runWindow(work, releases); err != nil {
 			return nil, err
 		}
-		if c.bufs != nil {
-			flushBuffers(c.bufs, c.cfg.Sink, c.flushHead)
+	}
+	return c.drainBatched()
+}
+
+// runWindow executes one dispatch window's shard work — on the pool, or
+// serially on the coordinator goroutine when the run has no pool (same
+// work, same results, fewer hands) — and replays the buffered completions
+// of the window into the shared sink. releases is the window's global
+// release sequence, the sink buffers' ordering key.
+func (c *coordinator) runWindow(work func(int) error, releases []float64) error {
+	for _, b := range c.bufs {
+		b.reset(releases)
+	}
+	if c.pool != nil {
+		if err := c.pool.run(work); err != nil {
+			return err
+		}
+	} else {
+		for s := 0; s < c.n; s++ {
+			if err := work(s); err != nil {
+				return err
+			}
 		}
 	}
+	if c.bufs != nil {
+		flushBuffers(c.bufs, c.cfg.Sink, c.flushHead)
+	}
+	return nil
+}
 
+// drainBatched closes every feed and drains each shard to its last event
+// as one more window, then finishes the fleet. Drain rows carry window 0
+// over an empty release table, i.e. plain (time, shard) order, which is
+// exactly the sequential drain's interleave.
+func (c *coordinator) drainBatched() (*engine.LoadResult, error) {
 	for _, st := range c.steppers {
 		st.CloseFeed()
-	}
-	// Drain every shard to its last event in parallel; drain rows carry
-	// window 0 over an empty release table, i.e. plain (time, shard) order,
-	// which is exactly the sequential drain's interleave.
-	if c.bufs != nil {
-		for _, b := range c.bufs {
-			b.reset(nil)
-		}
 	}
 	drain := func(s int) error {
 		if _, err := c.steppers[s].StepUntil(math.Inf(1)); err != nil {
@@ -669,11 +565,8 @@ func (c *coordinator) runBatched() (*engine.LoadResult, error) {
 		}
 		return nil
 	}
-	if err := c.pool.run(drain); err != nil {
+	if err := c.runWindow(drain, nil); err != nil {
 		return nil, err
-	}
-	if c.bufs != nil {
-		flushBuffers(c.bufs, c.cfg.Sink, c.flushHead)
 	}
 	return c.finish()
 }

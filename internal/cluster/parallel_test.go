@@ -3,7 +3,9 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/malleable-sched/malleable/internal/engine"
 	"github.com/malleable-sched/malleable/internal/schedule"
@@ -12,7 +14,7 @@ import (
 
 // recordingStateFree is a recordingRouter that preserves the wrapped
 // router's state-free declaration, so recording the dispatch sequence does
-// not silently demote a batched-mode run to the windowed mode.
+// not silently demote a batched-mode run to the sequential coordinator.
 type recordingStateFree struct {
 	recordingRouter
 }
@@ -51,6 +53,7 @@ type parallelCapture struct {
 	blob     []byte
 	rows     []engine.TaskMetrics
 	probe    *fleetProbe
+	res      *engine.LoadResult
 }
 
 func captureRun(t *testing.T, cfg Config, stream engine.ArrivalStream, withProbe bool) parallelCapture {
@@ -72,7 +75,7 @@ func captureRun(t *testing.T, cfg Config, stream engine.ArrivalStream, withProbe
 	if err != nil {
 		t.Fatal(err)
 	}
-	return parallelCapture{dispatch: rec.dispatch, blob: blob, rows: rows, probe: probe}
+	return parallelCapture{dispatch: rec.dispatch, blob: blob, rows: rows, probe: probe, res: res}
 }
 
 func assertCapturesEqual(t *testing.T, want, got parallelCapture, label string) {
@@ -197,11 +200,11 @@ func boundaryArrivals(n int) []engine.Arrival {
 // Window-boundary edge cases: zero-volume tasks completing exactly at the
 // lookahead horizon, simultaneous events on several shards at the same
 // instant, and equal-release runs crossing batch boundaries (n far exceeds
-// batchSize). Both parallel modes must still reproduce the sequential run
-// bit for bit.
+// batchSize). Every router, whichever run loop Workers selects for it, must
+// still reproduce the sequential run bit for bit.
 func TestParallelWindowBoundaryEdgeCases(t *testing.T) {
 	const n, shards = 4 * batchSize, 3
-	for _, router := range []string{"round-robin", "least-backlog"} {
+	for _, router := range RouterNames() {
 		t.Run(router, func(t *testing.T) {
 			newRouter := func() Router {
 				r, err := RouterByName(router, 5)
@@ -292,6 +295,199 @@ func TestParallelEngineProbeForcesSequential(t *testing.T) {
 	}
 	if string(seqBlob) != string(parBlob) {
 		t.Fatal("results differ between Workers=4 (probe fallback) and sequential run")
+	}
+}
+
+// goroutineRouter records the goroutine count inside Route, so a test can
+// tell whether pool workers were running while the router decided. It
+// declares no capability, so the coordinator treats it as an exact-view
+// state-reading router.
+type goroutineRouter struct {
+	inner Router
+	peak  int
+}
+
+func (r *goroutineRouter) Name() string { return r.inner.Name() }
+func (r *goroutineRouter) Route(a engine.Arrival, shards []ShardState) int {
+	r.peak = max(r.peak, runtime.NumGoroutine())
+	return r.inner.Route(a, shards)
+}
+
+// stateFreeGoroutineRouter is a goroutineRouter declaring StateFree.
+type stateFreeGoroutineRouter struct {
+	goroutineRouter
+}
+
+func (r *stateFreeGoroutineRouter) StateFree() bool { return true }
+
+// windowStaleGoroutineRouter is a goroutineRouter declaring WindowStale.
+type windowStaleGoroutineRouter struct {
+	goroutineRouter
+}
+
+func (r *windowStaleGoroutineRouter) WindowStale() bool { return true }
+
+// countGoroutines wraps a router with goroutine counting, keeping the
+// StateFree and WindowStale capabilities intact (as record does).
+func countGoroutines(inner Router) (Router, *goroutineRouter) {
+	if sf, ok := inner.(StateFreeRouter); ok && sf.StateFree() {
+		r := &stateFreeGoroutineRouter{goroutineRouter{inner: inner}}
+		return r, &r.goroutineRouter
+	}
+	if ws, ok := inner.(WindowStaleRouter); ok && ws.WindowStale() {
+		r := &windowStaleGoroutineRouter{goroutineRouter{inner: inner}}
+		return r, &r.goroutineRouter
+	}
+	r := &goroutineRouter{inner: inner}
+	return r, r
+}
+
+// settledGoroutines waits for the goroutine count to fall back to idle (a
+// finished run's pool workers may still be returning) and returns it. A
+// pool that never retires its workers fails the test.
+func settledGoroutines(t *testing.T, idle int) int {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > idle {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines alive, %d when idle: a finished run left workers behind", runtime.NumGoroutine(), idle)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return runtime.NumGoroutine()
+}
+
+// The selection rule, one configuration per case: StaleRouting with a
+// window-stale router runs stale-batched (views published per window, a pool
+// at Workers >= 2); a state-free router with Workers >= 2 and no probe runs
+// batched (its Route sees the pool workers); everything else — exact-view
+// state-reading routers at any Workers, a probed state-free router, Workers
+// below 2 — runs the sequential coordinator, so no pool goroutine is alive
+// while the router decides. Whatever loop runs, the output is byte-identical
+// to the same configuration at Workers 0.
+func TestExactViewRouterRunsSequentially(t *testing.T) {
+	const n, shards = 2000, 8
+	type loop int
+	const (
+		sequential loop = iota
+		batched
+		staleBatched
+	)
+	cases := []struct {
+		name        string
+		router      string
+		workers     int
+		fleetProbe  bool
+		engineProbe bool
+		trace       bool
+		stale       bool
+		want        loop
+	}{
+		{name: "least-backlog/workers=1", router: "least-backlog", workers: 1, want: sequential},
+		{name: "least-backlog/workers=2", router: "least-backlog", workers: 2, want: sequential},
+		{name: "least-backlog/workers=8", router: "least-backlog", workers: 8, want: sequential},
+		{name: "po2/workers=1", router: "po2", workers: 1, want: sequential},
+		{name: "po2/workers=2", router: "po2", workers: 2, want: sequential},
+		{name: "po2/workers=8", router: "po2", workers: 8, want: sequential},
+		{name: "least-backlog/workers=8/fleet-probe", router: "least-backlog", workers: 8, fleetProbe: true, want: sequential},
+		{name: "least-backlog/workers=8/trace", router: "least-backlog", workers: 8, trace: true, want: sequential},
+		{name: "least-backlog/workers=8/engine-probe", router: "least-backlog", workers: 8, engineProbe: true, want: sequential},
+		{name: "round-robin/workers=1", router: "round-robin", workers: 1, want: sequential},
+		{name: "hash-tenant/workers=1", router: "hash-tenant", workers: 1, want: sequential},
+		{name: "round-robin/workers=8/fleet-probe", router: "round-robin", workers: 8, fleetProbe: true, want: sequential},
+		{name: "hash-tenant/workers=8/fleet-probe", router: "hash-tenant", workers: 8, fleetProbe: true, want: sequential},
+		{name: "round-robin/workers=8/engine-probe", router: "round-robin", workers: 8, engineProbe: true, want: sequential},
+		{name: "round-robin/workers=2", router: "round-robin", workers: 2, want: batched},
+		{name: "round-robin/workers=8", router: "round-robin", workers: 8, want: batched},
+		{name: "hash-tenant/workers=2", router: "hash-tenant", workers: 2, want: batched},
+		{name: "hash-tenant/workers=8", router: "hash-tenant", workers: 8, want: batched},
+		{name: "round-robin/workers=8/trace", router: "round-robin", workers: 8, trace: true, want: batched},
+		{name: "round-robin/workers=8/stale", router: "round-robin", workers: 8, stale: true, want: batched},
+		{name: "hash-tenant/workers=8/stale", router: "hash-tenant", workers: 8, stale: true, want: batched},
+		{name: "least-backlog/workers=1/stale", router: "least-backlog", workers: 1, stale: true, want: staleBatched},
+		{name: "least-backlog/workers=8/stale", router: "least-backlog", workers: 8, stale: true, want: staleBatched},
+		{name: "po2/workers=1/stale", router: "po2", workers: 1, stale: true, want: staleBatched},
+		{name: "po2/workers=8/stale", router: "po2", workers: 8, stale: true, want: staleBatched},
+	}
+	idle := runtime.NumGoroutine() + 1 // the subtest's own goroutine
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(workers int) (parallelCapture, int, int) {
+				inner, err := RouterByName(tc.router, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, counter := countGoroutines(inner)
+				cfg := Config{Shards: shards, P: 8, Policy: wdeq(t), Router: r, Workers: workers, StaleRouting: tc.stale}
+				cfg.Opts.TraceDecisions = tc.trace
+				if tc.engineProbe {
+					cfg.Opts.Probe = engine.ProbeFunc(func(engine.Snapshot) {})
+				}
+				stream, err := workload.NewStream(skewedConfig(115.2), n, 17)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := settledGoroutines(t, idle)
+				got := captureRun(t, cfg, stream, tc.fleetProbe)
+				return got, before, counter.peak
+			}
+			ref, _, _ := run(0)
+			got, before, peak := run(tc.workers)
+			assertCapturesEqual(t, ref, got, fmt.Sprintf("workers=%d", tc.workers))
+
+			pool := min(tc.workers, shards)
+			if tc.want == sequential || pool < 2 {
+				if peak > before {
+					t.Errorf("%d goroutines inside Route, %d before Run: a worker pool ran", peak, before)
+				}
+			} else if peak < before+pool {
+				t.Errorf("%d goroutines inside Route, %d before Run: want the %d pool workers visible", peak, before, pool)
+			}
+			if views := got.res.StaleViews; (tc.want == staleBatched) != (views > 0) {
+				t.Errorf("%d stale views published: stale-batched ran = %v, want %v", views, views > 0, tc.want == staleBatched)
+			}
+		})
+	}
+}
+
+// A 64-shard fleet under an exact-view router is the sequential
+// coordinator's O(shards)-per-dispatch envelope: it must match the Workers 0
+// run byte for byte, fleet-probe trace included, with more workers than
+// most hosts have cores.
+func TestExactViewRouter64ShardFleet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("64-shard fleet comparison is slow under -short")
+	}
+	const n, shards, seed = 8192, 64, 411
+	newStream := func() engine.ArrivalStream {
+		s, err := workload.NewStream(skewedConfig(900), n, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for _, router := range []string{"least-backlog", "po2"} {
+		t.Run(router, func(t *testing.T) {
+			newRouter := func() Router {
+				r, err := RouterByName(router, 9)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
+			base := Config{Shards: shards, P: 8, Policy: wdeq(t), Router: newRouter()}
+			seq := captureRun(t, base, newStream(), true)
+			if len(seq.dispatch) != n || seq.res.TotalTasks != n {
+				t.Fatalf("routed %d arrivals, completed %d, want %d", len(seq.dispatch), seq.res.TotalTasks, n)
+			}
+			for _, workers := range []int{8, shards} {
+				cfg := base
+				cfg.Router = newRouter()
+				cfg.Workers = workers
+				par := captureRun(t, cfg, newStream(), true)
+				assertCapturesEqual(t, seq, par, fmt.Sprintf("64 shards workers=%d", workers))
+			}
+		})
 	}
 }
 

@@ -19,9 +19,10 @@ import (
 // the sequential coordinator would have produced.
 //
 // The barrier is an epoch counter plus a completion count, both atomic, with
-// spin-yield waiting (runtime.Gosched) on both sides: windows are short —
-// often a handful of events — so a channel round-trip per window would cost
-// more than the window. Atomic operations carry the happens-before edges:
+// spin-yield waiting (runtime.Gosched) on both sides: a window can hold few
+// events per shard — at light load, or with 512 dispatches spread over 64
+// shards — so a channel round-trip per window could cost more than the
+// window. Atomic operations carry the happens-before edges:
 // the coordinator publishes the window's work before bumping the epoch, and
 // each worker publishes its error slot before bumping done, so the race
 // detector sees a clean handoff. The pool lives for one cluster run;

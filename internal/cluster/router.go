@@ -57,7 +57,7 @@ type Router interface {
 // StateFree() true must not read ANY field of the shards slice beyond its
 // length — the snapshots handed to it in batched mode are stale. Load-aware
 // routers (least-backlog, po2) simply don't implement the interface and get
-// an exact snapshot per dispatch in every mode.
+// an exact snapshot per dispatch from the sequential coordinator.
 type StateFreeRouter interface {
 	Router
 	// StateFree reports that Route ignores the shards snapshot contents.
@@ -78,7 +78,7 @@ type StateFreeRouter interface {
 // window-stale run byte-identical at any worker count (the views depend
 // only on where the window boundaries fall in the stream, never on worker
 // interleaving). Routers that need exact state simply don't implement the
-// interface and keep the per-dispatch window in every mode.
+// interface and keep the sequential coordinator's exact per-dispatch view.
 type WindowStaleRouter interface {
 	Router
 	// WindowStale reports that Route accepts window-boundary views.

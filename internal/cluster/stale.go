@@ -1,9 +1,8 @@
 // Stale-batched execution: state-reading routers at state-free cost.
 //
-// The windowed mode buys exact router views with a full-fleet barrier per
-// dispatch; the speculative mode hides the barrier behind checkpoints and
-// pays for mispredictions with rollbacks. Stale-batched removes the
-// per-dispatch synchronization a third way: it changes what the router is
+// An exact-view router needs the whole fleet synchronized at every dispatch,
+// which is why it runs on the sequential coordinator. Stale-batched removes
+// that per-dispatch synchronization by changing what the router is
 // promised. A WindowStaleRouter accepts fleet views observed AS OF THE LAST
 // WINDOW BOUNDARY — the coordinator publishes one view per dispatch window
 // of up to batchSize arrivals (every shard's exact rest state at the
@@ -30,25 +29,9 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/malleable-sched/malleable/internal/engine"
 )
-
-// runWindow executes one window's shard work on the pool, or serially on
-// the coordinator goroutine when the run has no pool (Workers < 2) — same
-// work, same results, fewer hands.
-func (c *coordinator) runWindow(work func(int) error) error {
-	if c.pool != nil {
-		return c.pool.run(work)
-	}
-	for s := 0; s < c.n; s++ {
-		if err := work(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // runStaleBatched is the wide-window mode for window-stale routers: publish
 // the boundary view, pre-route a whole window against it (evolving only the
@@ -109,42 +92,11 @@ func (c *coordinator) runStaleBatched() (*engine.LoadResult, error) {
 			}
 		}
 		horizon = releases[len(releases)-1]
-		if c.bufs != nil {
-			for _, b := range c.bufs {
-				b.reset(releases)
-			}
-		}
-		if err := c.runWindow(work); err != nil {
+		if err := c.runWindow(work, releases); err != nil {
 			return nil, err
 		}
-		if c.bufs != nil {
-			flushBuffers(c.bufs, c.cfg.Sink, c.flushHead)
-		}
 	}
-
-	for _, st := range c.steppers {
-		st.CloseFeed()
-	}
-	// Drain exactly like runBatched: window 0 over an empty release table
-	// reconstructs the sequential (time, shard) interleave for the sink.
-	if c.bufs != nil {
-		for _, b := range c.bufs {
-			b.reset(nil)
-		}
-	}
-	drain := func(s int) error {
-		if _, err := c.steppers[s].StepUntil(math.Inf(1)); err != nil {
-			return fmt.Errorf("cluster: shard %d: %w", s, err)
-		}
-		return nil
-	}
-	if err := c.runWindow(drain); err != nil {
-		return nil, err
-	}
-	if c.bufs != nil {
-		flushBuffers(c.bufs, c.cfg.Sink, c.flushHead)
-	}
-	res, err := c.finish()
+	res, err := c.drainBatched()
 	if err != nil {
 		return nil, err
 	}

@@ -370,7 +370,7 @@ type Runner struct {
 	// it, removeSlot swap-deletes it alongside live and the fallback decrement
 	// sweep writes Remaining/Processed in place, so a fallback event does not
 	// rebuild it. It is rebuilt in full at the first fallback event after
-	// start, Restore or a virtual segment (which invalidate it), and at every
+	// start or a virtual segment (which invalidate it), and at every
 	// event of a run whose capacity varies (where Delta moves).
 	states      []TaskState
 	statesValid bool
@@ -378,8 +378,7 @@ type Runner struct {
 	// Event-core scratch (CoreAuto): the calendar queue over virtual
 	// completion keys, the delta-ratio eligibility heap, the fallback
 	// completion-quotient heap, and a key buffer for bulk rebuilds. All of it
-	// is rebuilt from r.live on demand (validity flags), so Snapshot/Restore
-	// round-trips without capturing any of it.
+	// is rebuilt from r.live on demand (validity flags).
 	cal        calendarQueue
 	drh        idxHeap
 	qth        idxHeap
@@ -1437,7 +1436,7 @@ func (st *Stepper) retireVirtual() {
 
 // minKeySlot returns the slot holding the (key, id)-least virtual completion
 // key: the calendar queue under CoreAuto (rebuilt from the live slots if a
-// restore or transition invalidated it), the reference scan under CoreNaive.
+// transition invalidated it), the reference scan under CoreNaive.
 func (st *Stepper) minKeySlot() (int, bool) {
 	r := st.r
 	if len(r.live) == 0 {

@@ -23,13 +23,13 @@ import "math"
 // they surface (a minimum key, a pop order) is a pure function of the
 // (key, task-id) multiset they hold, never of their internal layout. The
 // calendar scans the leading bucket for the (key, id)-minimum instead of
-// trusting insertion order, so a queue rebuilt from a snapshot pops the same
-// sequence as the queue that grew event by event — the property
-// FuzzStepperSnapshotRoundTrip and FuzzEventQueueEquivalence both lean on.
+// trusting insertion order, so a queue bulk-rebuilt at a mode transition pops
+// the same sequence as one that grew event by event — the property
+// FuzzEventQueueEquivalence leans on.
 //
 // All storage is Runner scratch: inserts append into kept-capacity slices, so
-// a warmed engine runs both structures without heap allocation, and Restore
-// rebuilds them from the live slots without allocating either.
+// a warmed engine runs both structures without heap allocation, and a
+// transition rebuilds them from the live slots without allocating either.
 
 // QueueStats is the per-run counter pair recording which event core ran each
 // policy event: the virtual-clock equal-share path (no policy invocation, the
@@ -189,7 +189,7 @@ func (h *idxHeap) min() float64 {
 }
 
 // rebuild re-heapifies from the keys slice (indexed by slot, length n) in
-// O(n) — the bulk path for mode transitions, restores, and events where most
+// O(n) — the bulk path for mode transitions and events where most
 // keys changed at once.
 func (h *idxHeap) rebuild(keys []float64) {
 	n := len(keys)
@@ -280,7 +280,8 @@ func (h *idxHeap) siftDown(i int) {
 // Geometry (width, bucket count, window base) adapts to occupancy at rebuild,
 // grow and wrap points, and deliberately has no effect on anything
 // observable: extraction order is value-ordered, so a queue with different
-// geometry — say, one rebuilt from a Snapshot — pops the identical sequence.
+// geometry — say, one bulk-rebuilt at a transition — pops the identical
+// sequence.
 type calendarQueue struct {
 	valid bool
 	base  float64 // virtual time at bucket 0's left edge (fixed per window)
@@ -470,7 +471,7 @@ func (q *calendarQueue) renumber(oldSlot, newSlot int) {
 }
 
 // rebuildCalendar bulk-loads the queue from the live slots — the transition
-// and restore path. Geometry is chosen from the key span, but (see the type
+// path. Geometry is chosen from the key span, but (see the type
 // comment) geometry never affects extraction order.
 func (q *calendarQueue) rebuildCalendar(live []liveTask, vnow float64) {
 	hi := vnow

@@ -7,6 +7,7 @@ import (
 
 	"github.com/malleable-sched/malleable/internal/schedule"
 	"github.com/malleable-sched/malleable/internal/speedup"
+	"github.com/malleable-sched/malleable/internal/workload"
 )
 
 // captureSink retains every observed row for exact comparisons.
@@ -350,6 +351,97 @@ func TestStepUntilMatchesManualDrive(t *testing.T) {
 			t.Fatalf("row %d differs: %+v vs %+v", i, gotSink.rows[i], wantSink.rows[i])
 		}
 	}
+}
+
+// The fuzzed form of the granularity invariance above, across the fixed,
+// sublinear and platform capacity models: any number of single Steps
+// followed by any fixed-stride horizon schedule reproduces RunStreamInto bit
+// for bit, and no StepUntil call processes an event past its horizon.
+func FuzzStepUntilHorizonSchedule(f *testing.F) {
+	f.Add(int64(1), uint8(20), uint8(7), uint8(3), uint8(0))
+	f.Add(int64(99), uint8(1), uint8(0), uint8(0), uint8(1))
+	f.Add(int64(-4), uint8(120), uint8(255), uint8(40), uint8(2))
+	f.Add(int64(7777), uint8(64), uint8(31), uint8(255), uint8(5))
+	f.Add(int64(2024), uint8(200), uint8(90), uint8(1), uint8(4))
+	f.Fuzz(func(t *testing.T, seed int64, n, cut, stride, sel uint8) {
+		count := 1 + int(n)%128
+		arrivals, err := workload.GenerateArrivals(workload.ArrivalConfig{
+			Class:   workload.Uniform,
+			P:       8,
+			Process: workload.Poisson,
+			Rate:    1 + float64(sel%8),
+		}, count, seed)
+		if err != nil {
+			t.Skip()
+		}
+		opts := Options{}
+		switch sel % 3 {
+		case 1:
+			m, err := speedup.ParseModel("powerlaw:0.8")
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Model = m
+		case 2:
+			m, err := speedup.ParseModel("platform:8@0,3@10,8@25")
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Model = m
+		}
+		policy, err := PolicyByName("wdeq")
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		var want Result
+		wantSink := &captureSink{}
+		if err := NewRunner().RunStreamInto(&want, 8, policy, NewSliceStream(arrivals), wantSink, opts); err != nil {
+			t.Fatal(err)
+		}
+
+		var got Result
+		gotSink := &captureSink{}
+		st, err := NewRunner().StartStream(&got, 8, policy, NewSliceStream(arrivals), gotSink, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < int(cut) && !st.Done(); i++ {
+			if _, err := st.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step := (1 + float64(stride)) / 16
+		for k := 1; k <= 4096 && !st.Done(); k++ {
+			h := st.Now() + step
+			if _, err := st.StepUntil(h); err != nil {
+				t.Fatal(err)
+			}
+			if st.Now() > h {
+				t.Fatalf("StepUntil(%g) advanced the clock to %g", h, st.Now())
+			}
+			if next := st.NextEventTime(); next <= h && !st.Done() {
+				t.Fatalf("after StepUntil(%g) next event %g is not past the horizon", h, next)
+			}
+		}
+		if _, err := st.StepUntil(math.Inf(1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if !aggregateEqual(&want, &got) {
+			t.Fatalf("horizon-scheduled drive diverges:\n%+v\nvs\n%+v", got, want)
+		}
+		if len(wantSink.rows) != len(gotSink.rows) {
+			t.Fatalf("row counts differ: %d vs %d", len(gotSink.rows), len(wantSink.rows))
+		}
+		for i := range wantSink.rows {
+			if wantSink.rows[i] != gotSink.rows[i] {
+				t.Fatalf("row %d differs: %+v vs %+v", i, gotSink.rows[i], wantSink.rows[i])
+			}
+		}
+	})
 }
 
 // StepUntil must drive the probe exactly like the manual loop it batches:

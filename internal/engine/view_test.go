@@ -100,8 +100,8 @@ func viewArrivals(n int, seed int64) []Arrival {
 // mirrors it, the decrement sweep writes Remaining/Processed in place), so it
 // must never drift from the live slots. Checked at every Allocate over WDEQ
 // runs that cross virtual/fallback transitions with zero-volume tasks and
-// arrival ties, under both event cores, on a time-varying platform, in feed
-// mode through FeedBatch, and across Snapshot/Restore mid-run.
+// arrival ties, under both event cores, on a time-varying platform, and in
+// feed mode through FeedBatch.
 func TestPolicyViewCoherence(t *testing.T) {
 	arrivals := viewArrivals(600, 5)
 	profile, err := stepfunc.FromSteps([]float64{0, 4, 9, 15}, []float64{8, 3, 6, 8})
@@ -146,71 +146,6 @@ func TestPolicyViewCoherence(t *testing.T) {
 		c.verify(t, "feedbatch")
 	})
 
-	t.Run("snapshot-restore", func(t *testing.T) {
-		// At several cuts, roll a stepper back to a snapshot taken a few
-		// events earlier, and restore the same snapshot into a second Runner;
-		// both continuations must keep the view coherent from the first event
-		// after the restore. Rolling back from the fallback path is the case
-		// that matters: there the view was valid, and stale, at the restore.
-		fallbackRollbacks := 0
-		for _, cut := range []int{100, 200, 300, 400, 500} {
-			label := fmt.Sprintf("cut %d", cut)
-			r := NewRunner()
-			c := newViewChecker(WDEQPolicy{}, r)
-			var res Result
-			st, err := r.StartFeed(&res, 8, c, nil, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := st.FeedBatch(arrivals[:cut]); err != nil {
-				t.Fatal(err)
-			}
-			var snap StepperSnapshot
-			if err := st.Snapshot(&snap); err != nil {
-				t.Fatal(err)
-			}
-			virtualAtSnapshot := st.virtual
-			for i := 0; i < 4; i++ {
-				if _, err := st.Step(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if !virtualAtSnapshot && !st.virtual {
-				fallbackRollbacks++
-			}
-			if err := st.Restore(&snap); err != nil {
-				t.Fatal(err)
-			}
-			r2 := NewRunner()
-			c2 := newViewChecker(WDEQPolicy{}, r2)
-			var res2 Result
-			st2, err := r2.StartFeed(&res2, 8, c2, nil, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := st2.Restore(&snap); err != nil {
-				t.Fatal(err)
-			}
-			for _, s := range []*Stepper{st, st2} {
-				if _, err := s.FeedBatch(arrivals[cut:]); err != nil {
-					t.Fatal(err)
-				}
-				s.CloseFeed()
-				if err := s.drain(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			c.verify(t, label+", restored in place")
-			c2.verify(t, label+", restored into a fresh runner")
-			if res.WeightedFlow != res2.WeightedFlow || res.Events != res2.Events {
-				t.Fatalf("%s: continuations diverge: wf %g vs %g, events %d vs %d",
-					label, res.WeightedFlow, res2.WeightedFlow, res.Events, res2.Events)
-			}
-		}
-		if fallbackRollbacks == 0 {
-			t.Fatalf("no cut rolled back from the fallback path")
-		}
-	})
 }
 
 // boundWideningPolicy writes a wider degree bound into the view it is handed
