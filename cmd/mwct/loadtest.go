@@ -53,11 +53,12 @@ type loadtestSpec struct {
 	// per-shard streams. Cluster mode always runs the streaming path.
 	Router string `json:"router,omitempty"`
 	// Workers >= 2 advances the cluster's shards concurrently on that many
-	// pool workers, one dispatch window at a time. It applies to state-free
-	// routers (round-robin, hash-tenant) and to Stale; an exact-view
-	// state-reading router, or a run with a probe, runs sequentially. The
-	// report is byte-identical at any worker count — the knob trades
-	// goroutines for wall-clock time only. Requires Router.
+	// goroutines (the coordinator included, clamped to GOMAXPROCS), one
+	// dispatch window at a time. It applies to state-free routers
+	// (round-robin, hash-tenant) and to Stale; an exact-view state-reading
+	// router, or a run with a probe, runs sequentially. The report is
+	// byte-identical at any worker count — the knob trades goroutines for
+	// wall-clock time only. Requires Router.
 	Workers int `json:"workers,omitempty"`
 	// Stale runs the cluster coordinator in stale-batched mode: the router
 	// reads fleet views published once per dispatch window instead of exact

@@ -311,7 +311,7 @@ func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	enablePprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	workers := fs.Int("workers", 0, "default coordinator worker count for routed load tests whose spec leaves \"workers\" unset (applies to state-free routers and stale specs; least-backlog or po2 without stale, or a probed run, stays sequential; results are byte-identical at any count, this only changes response latency)")
+	workers := fs.Int("workers", 0, "default coordinator worker count for routed load tests whose spec leaves \"workers\" unset (clamped to GOMAXPROCS, the coordinator goroutine included; applies to state-free routers and stale specs; least-backlog or po2 without stale, or a probed run, stays sequential; results are byte-identical at any count, this only changes response latency)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -39,7 +39,7 @@ func specFlags(fs *flag.FlagSet, def loadtestSpec) func() loadtestSpec {
 	tenants := fs.String("tenants", def.Tenants, "tenant mix as name:weight:share,... (empty = single tenant)")
 	tenantSkew := fs.Float64("tenant-skew", def.TenantSkew, "Zipf exponent reshaping the tenant shares (tenant i's share is divided by (i+1)^skew); 0 keeps them as configured")
 	router := fs.String("router", def.Router, "cluster mode: dispatch ONE global arrival stream (rate is then fleet-wide) across the shards with this router: round-robin, hash-tenant, least-backlog, po2; empty keeps independent per-shard streams")
-	workers := fs.Int("workers", def.Workers, "cluster coordinator worker count: >= 2 advances shards concurrently, one dispatch window at a time, with a byte-identical report (requires -router); applies to state-free routers (round-robin, hash-tenant) and -stale, while least-backlog or po2 without -stale, or any run with a probe, runs sequentially")
+	workers := fs.Int("workers", def.Workers, "cluster coordinator worker count: >= 2 advances shards concurrently on that many goroutines (the coordinator included, clamped to GOMAXPROCS), one dispatch window at a time, with a byte-identical report (requires -router); applies to state-free routers (round-robin, hash-tenant) and -stale, while least-backlog or po2 without -stale, or any run with a probe, runs sequentially")
 	stale := fs.Bool("stale", def.Stale, "run the cluster coordinator in stale-batched mode: the router reads fleet views published once per dispatch window instead of per dispatch, removing the per-dispatch barrier; deterministic at any -workers but a different schedule than exact routing (requires -router least-backlog or po2; view counts go to the stderr perf footer)")
 	prefetch := fs.Bool("prefetch", def.Prefetch, "overlap arrival generation/trace decode with cluster execution on a producer goroutine; pure pipelining, byte-identical output (requires -router)")
 	speedupSpec := fs.String("speedup", def.Speedup, "speedup model: linear, powerlaw[:alpha], amdahl[:sigma], platform:cap@t,... (empty = linear)")

@@ -32,6 +32,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"github.com/malleable-sched/malleable/internal/engine"
 	"github.com/malleable-sched/malleable/internal/workload"
@@ -65,14 +66,18 @@ type Config struct {
 	// sequential coordinator regardless of Workers (the output stays
 	// byte-identical either way, which is the point).
 	Opts engine.Options
-	// Workers is the number of pool goroutines that advance shards
-	// concurrently, capped at Shards. It applies to state-free routers and
-	// to StaleRouting: with Workers >= 2 those modes run each dispatch
-	// window's shard work on the pool. An exact-view state-reading router,
-	// or any run with a probe (Probe or Opts.Probe), runs on the sequential
-	// coordinator whatever Workers says. Every observable output is
-	// byte-identical across all Workers settings; the knob trades goroutines
-	// for wall-clock time only.
+	// Workers is the number of goroutines that advance shards concurrently,
+	// capped at Shards. It applies to state-free routers and to
+	// StaleRouting: with Workers >= 2 those modes run each dispatch window's
+	// shard work on a pool of that many hands, the coordinator goroutine
+	// being one of them. The pool is further clamped to GOMAXPROCS — a hand
+	// beyond the runnable processors would only time-slice with the others
+	// — and below two hands the windows run serially on the coordinator.
+	// An exact-view state-reading router, or any run with a probe (Probe or
+	// Opts.Probe), runs on the sequential coordinator whatever Workers says.
+	// Every observable output is byte-identical across all Workers settings
+	// and every GOMAXPROCS; the knob trades goroutines for wall-clock time
+	// only.
 	Workers int
 	// StaleRouting opts a state-reading router into window-stale dispatch,
 	// the stale-batched mode (see stale.go and the DESIGN.md section of the
@@ -125,8 +130,9 @@ type Config struct {
 //
 // ObserveFleet is called from the coordinator goroutine; now is the release
 // time of the arrival just dispatched (or the fleet's final virtual time on
-// the closing observation). The shards slice is the coordinator's scratch:
-// implementations must read it synchronously and must not retain it.
+// the closing observation). The shards slice is the coordinator's scratch,
+// the same one the Router reads: implementations must read it synchronously
+// and must neither retain it nor write to it.
 type Probe interface {
 	ObserveFleet(now float64, shards []ShardState)
 }
@@ -268,24 +274,27 @@ func Run(cfg Config, stream engine.ArrivalStream) (*engine.LoadResult, error) {
 		c.steppers[i] = st
 	}
 
-	if stale {
+	if parallel && (batched || stale) {
+		// The pool's hands are clamped to the runnable processors (see
+		// pool); below two hands the windows run serially on the
+		// coordinator — same windows, same output.
+		if hands := min(workers, runtime.GOMAXPROCS(0)); hands >= 2 {
+			c.pool = newPool(hands, n)
+			defer c.pool.close()
+		}
+	}
+	switch {
+	case stale:
 		// Stale-batched runs the same windowed algorithm at every worker
 		// count — the window schedule is fixed by the stream, workers only
 		// add hands — so even 0 or 1 workers go through runStaleBatched
 		// (serially, without a pool) rather than falling back to the
 		// sequential exact-view coordinator, whose routing would differ.
-		if parallel {
-			c.pool = newPool(workers, n)
-			defer c.pool.close()
-		}
 		return c.runStaleBatched()
+	case batched:
+		return c.runBatched()
 	}
-	if !batched {
-		return c.runSequential()
-	}
-	c.pool = newPool(workers, n)
-	defer c.pool.close()
-	return c.runBatched()
+	return c.runSequential()
 }
 
 // pull advances the global one-arrival lookahead, validating each arrival
@@ -314,15 +323,21 @@ func (c *coordinator) pull() (engine.Arrival, bool, error) {
 
 // fillStates snapshots every shard into the router/probe scratch.
 func (c *coordinator) fillStates() {
-	for i, st := range c.steppers {
-		c.states[i] = ShardState{
-			Shard:      i,
-			Now:        st.Now(),
-			Backlog:    st.Backlog(),
-			Allocated:  st.Allocated(),
-			Completed:  st.Completed(),
-			Dispatched: c.dispatched[i],
-		}
+	for i := range c.steppers {
+		c.snapshot(i)
+	}
+}
+
+// snapshot refreshes shard i's entry of the router/probe scratch.
+func (c *coordinator) snapshot(i int) {
+	st := c.steppers[i]
+	c.states[i] = ShardState{
+		Shard:      i,
+		Now:        st.Now(),
+		Backlog:    st.Backlog(),
+		Allocated:  st.Allocated(),
+		Completed:  st.Completed(),
+		Dispatched: c.dispatched[i],
 	}
 }
 
@@ -337,12 +352,11 @@ func (c *coordinator) route(a engine.Arrival) (int, error) {
 
 // observeDispatch fires the fleet probe for the dispatch just performed,
 // honoring the thinning configuration. The probe sees exactly what the
-// router saw, plus the dispatch it just caused — the fed arrival itself is
-// not admitted until the shard's next event, so Backlog is still the routed
-// view.
-func (c *coordinator) observeDispatch(idx int, release float64) {
+// router saw, plus the dispatch it just caused (the caller has counted it
+// into the target's Dispatched) — the fed arrival itself is not admitted
+// until the shard's next event, so Backlog is still the routed view.
+func (c *coordinator) observeDispatch(release float64) {
 	if c.cfg.Probe != nil && (c.cfg.ProbeEveryDispatches <= 1 || c.routed%c.cfg.ProbeEveryDispatches == 0) {
-		c.states[idx].Dispatched = c.dispatched[idx]
 		c.cfg.Probe.ObserveFleet(release, c.states)
 	}
 }
@@ -350,11 +364,20 @@ func (c *coordinator) observeDispatch(idx int, release float64) {
 // runSequential advances the fleet on the coordinator goroutine in global
 // event order, ordering the shards' next events on the index-min heap —
 // O(log shards) per event instead of the former linear scan per event.
+//
+// The router's snapshots are kept current incrementally rather than rebuilt
+// per dispatch: a shard's state changes only when it steps (Now, Backlog,
+// Allocated, Completed) or is fed (Dispatched — a fed arrival is not
+// admitted before the shard's next event), so those two places refresh the
+// one entry that moved and a dispatch costs O(1) snapshot work, not
+// O(shards). The Router and Probe contracts forbid writing to the slice.
 func (c *coordinator) runSequential() (*engine.LoadResult, error) {
 	c.h.init(c.n)
+	c.fillStates()
 	// advance processes every shard event at or before horizon in global
-	// (time, shard index) order; the heap keys are refreshed only for the
-	// stepped shard, the single shard whose state changed.
+	// (time, shard index) order; the heap key and the snapshot are
+	// refreshed only for the stepped shard, the single shard whose state
+	// changed.
 	advance := func(horizon float64) error {
 		for {
 			s, t := c.h.min()
@@ -365,6 +388,7 @@ func (c *coordinator) runSequential() (*engine.LoadResult, error) {
 				return fmt.Errorf("cluster: shard %d: %w", s, err)
 			}
 			c.h.update(s, c.steppers[s].NextEventTime())
+			c.snapshot(s)
 		}
 	}
 
@@ -384,7 +408,6 @@ func (c *coordinator) runSequential() (*engine.LoadResult, error) {
 		if err := advance(next.Release); err != nil {
 			return nil, err
 		}
-		c.fillStates()
 		idx, err := c.route(next)
 		if err != nil {
 			return nil, err
@@ -394,8 +417,9 @@ func (c *coordinator) runSequential() (*engine.LoadResult, error) {
 		}
 		c.h.update(idx, c.steppers[idx].NextEventTime())
 		c.dispatched[idx]++
+		c.states[idx].Dispatched = c.dispatched[idx]
 		c.routed++
-		c.observeDispatch(idx, next.Release)
+		c.observeDispatch(next.Release)
 		next, ok, err = c.pull()
 		if err != nil {
 			return nil, err
@@ -527,8 +551,9 @@ func (c *coordinator) runBatched() (*engine.LoadResult, error) {
 
 // runWindow executes one dispatch window's shard work — on the pool, or
 // serially on the coordinator goroutine when the run has no pool (same
-// work, same results, fewer hands) — and replays the buffered completions
-// of the window into the shared sink. releases is the window's global
+// work, same results and errors, a panic in shard code included, fewer
+// hands) — and replays the buffered completions of the window into the
+// shared sink. releases is the window's global
 // release sequence, the sink buffers' ordering key.
 func (c *coordinator) runWindow(work func(int) error, releases []float64) error {
 	for _, b := range c.bufs {
@@ -540,7 +565,7 @@ func (c *coordinator) runWindow(work func(int) error, releases []float64) error 
 		}
 	} else {
 		for s := 0; s < c.n; s++ {
-			if err := work(s); err != nil {
+			if err := runShard(work, s); err != nil {
 				return err
 			}
 		}

@@ -360,10 +360,11 @@ func settledGoroutines(t *testing.T, idle int) int {
 // The selection rule, one configuration per case: StaleRouting with a
 // window-stale router runs stale-batched (views published per window, a pool
 // at Workers >= 2); a state-free router with Workers >= 2 and no probe runs
-// batched (its Route sees the pool workers); everything else — exact-view
-// state-reading routers at any Workers, a probed state-free router, Workers
-// below 2 — runs the sequential coordinator, so no pool goroutine is alive
-// while the router decides. Whatever loop runs, the output is byte-identical
+// batched (its Route sees the pool's helpers, unless GOMAXPROCS clamps the
+// pool to one hand and the windows run serially); everything else —
+// exact-view state-reading routers at any Workers, a probed state-free
+// router, Workers below 2 — runs the sequential coordinator, so no pool
+// goroutine is alive while the router decides. Whatever loop runs, the output is byte-identical
 // to the same configuration at Workers 0.
 func TestExactViewRouterRunsSequentially(t *testing.T) {
 	const n, shards = 2000, 8
@@ -435,13 +436,16 @@ func TestExactViewRouterRunsSequentially(t *testing.T) {
 			got, before, peak := run(tc.workers)
 			assertCapturesEqual(t, ref, got, fmt.Sprintf("workers=%d", tc.workers))
 
-			pool := min(tc.workers, shards)
-			if tc.want == sequential || pool < 2 {
+			// A pool has one hand per worker, clamped to the shards and to
+			// GOMAXPROCS; the coordinator is one hand, so hands-1 helper
+			// goroutines are alive while it routes.
+			hands := min(tc.workers, shards, runtime.GOMAXPROCS(0))
+			if tc.want == sequential || hands < 2 {
 				if peak > before {
 					t.Errorf("%d goroutines inside Route, %d before Run: a worker pool ran", peak, before)
 				}
-			} else if peak < before+pool {
-				t.Errorf("%d goroutines inside Route, %d before Run: want the %d pool workers visible", peak, before, pool)
+			} else if peak < before+hands-1 {
+				t.Errorf("%d goroutines inside Route, %d before Run: want the %d pool helpers visible", peak, before, hands-1)
 			}
 			if views := got.res.StaleViews; (tc.want == staleBatched) != (views > 0) {
 				t.Errorf("%d stale views published: stale-batched ran = %v, want %v", views, views > 0, tc.want == staleBatched)

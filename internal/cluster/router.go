@@ -40,6 +40,11 @@ type ShardState struct {
 // wall-clock time, map order or goroutine interleaving — that is what makes
 // a cluster run byte-reproducible at any GOMAXPROCS. A Router is used by one
 // coordinator at a time and need not be safe for concurrent use.
+//
+// The shards slice is read-only. The coordinator keeps it current
+// incrementally — refreshing only the entries of shards that stepped or were
+// fed since the previous dispatch — so a Route that wrote to it would
+// corrupt the snapshots of every later dispatch.
 type Router interface {
 	// Name identifies the router in reports.
 	Name() string

@@ -60,8 +60,8 @@ func TestClusterSoakRoutedFleet(t *testing.T) {
 // coordinator, in both parallel modes — round-robin is state-free (batched
 // windows), and least-backlog under StaleRouting routes from window-boundary
 // views (stale-batched windows). CI runs this under the race detector as a
-// dedicated step, which is the whole point: the spin barrier and the
-// per-shard ownership partition get hundreds of windows of adversarial
+// dedicated step, which is the whole point: the spin-then-park barrier and
+// the per-shard ownership partition get hundreds of windows of adversarial
 // scheduling. The memory contract must hold too: worker stacks and batch
 // scratch are fleet-sized, not stream-sized.
 func TestClusterSoakParallelRoutedFleet(t *testing.T) {

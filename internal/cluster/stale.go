@@ -85,7 +85,7 @@ func (c *coordinator) runStaleBatched() (*engine.LoadResult, error) {
 			// shards instead of dogpiling the boundary minimum.
 			c.states[idx].Backlog++
 			c.states[idx].Dispatched = c.dispatched[idx]
-			c.observeDispatch(idx, next.Release)
+			c.observeDispatch(next.Release)
 			next, ok, err = c.pull()
 			if err != nil {
 				return nil, err

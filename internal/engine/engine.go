@@ -310,39 +310,48 @@ func RunWithOptions(p float64, policy Policy, arrivals []Arrival, opts Options) 
 	return NewRunner().RunWithOptions(p, policy, arrivals, opts)
 }
 
-// liveTask is one alive task's slot in the Runner scratch: the arrival it
-// was admitted from plus its integration state. The kernel holds exactly one
-// liveTask per alive task and nothing per retired or pending task — that is
-// the O(alive) memory contract of the streaming refactor.
+// liveTask is one alive task's slot in the Runner scratch: the arrival
+// fields the engine reads plus the task's integration state. The kernel holds
+// exactly one liveTask per alive task and nothing per retired or pending task
+// — that is the O(alive) memory contract of the streaming refactor — so the
+// slot's size is the engine's footprint per alive task. It copies only what
+// the loop reads (never Task.Name or Task.Due) and holds no pointer, so the
+// garbage collector never scans the slot array. Values derived off the
+// per-task-per-event path are recomputed where used instead of stored: the
+// key-space completion tolerance tol/w (read only at the retirement head),
+// the eligibility ratio delta/w (δ is fixed on certified runs, which have no
+// budgeter), and the fallback completion quotient (the qth heap's key array).
 //
 // remaining/processed are authoritative only on the fallback path; on a
 // virtual segment the task's whole integration state is the static key (see
 // the event-core notes on Stepper) and remaining is materialized lazily when
 // the segment ends or the task completes.
 type liveTask struct {
-	arr                  Arrival
-	id                   int
+	// The fields a virtual-path retirement reads — the head check, the
+	// retired row and the wsum update — lead the slot and fill one 64-byte
+	// span, which ends with the first of the four fields the fallback
+	// path's per-task loops read (tol, remaining, processed, delta), so
+	// those are contiguous too.
+	//
+	// key is the virtual completion time vnow_assign + remaining/w (valid
+	// while virtual); w is the certified share weight, valid while the run's
+	// policy certifies equal-share (EqualShareCertifier); tol is the
+	// retirement tolerance 1e-9·max(1, volume), fixed at admission.
+	key, w     float64
+	volume     float64
+	id, tenant int
+	release    float64
+	weight     float64
+	tol        float64
+
 	remaining, processed float64
-
-	// delta is the effective degree bound min(δ, budget) at the current
-	// event — the engine-owned copy that allocations are validated against
-	// and rates are computed from (policies only ever see the view's copy).
-	// tol is the retirement tolerance 1e-9·max(1, volume), fixed at
-	// admission.
-	delta, tol float64
-
-	// Virtual-clock state, valid while the run's policy certifies
-	// equal-share (EqualShareCertifier): w is the certified share weight,
-	// dratio = min(Delta, p)/w is the eligibility key (the fast path engages
-	// while p/W ≤ min dratio, i.e. no task is degree-pinned), ktol is the
-	// completion tolerance mapped into key space, and key is the virtual
-	// completion time vnow_assign + remaining/w (valid while virtual).
-	w, dratio, ktol, key float64
-
-	// quot caches the task's completion quotient remaining/rate in the
-	// fallback completion heap (CoreAuto), so unchanged slots skip the
-	// heap update.
-	quot float64
+	// delta is the effective degree bound min(rawDelta, budget) at the
+	// current event — the engine-owned copy that allocations are validated
+	// against and rates are computed from (policies only ever see the view's
+	// copy); rawDelta is the task's own δ, re-capped at every event of a run
+	// whose capacity varies.
+	delta, rawDelta float64
+	curve           float64
 }
 
 // Runner owns the reusable scratch of the engine event loop: the alive-task
@@ -640,7 +649,7 @@ type Stepper struct {
 	// budget nor a decision trace is in play. On certified runs the stepper
 	// switches per event between two segment modes:
 	//
-	//   - virtual (the fast path, taken while p/wsum ≤ min dratio, i.e. no
+	//   - virtual (the fast path, taken while p/wsum ≤ min delta/w, i.e. no
 	//     alive task is degree-pinned): every task processes at rate
 	//     w_i·p/W, so attained service per unit weight is global. vnow
 	//     integrates it (vnow += vrate·dt with vrate = p/wsum) and each
@@ -1136,34 +1145,36 @@ func (st *Stepper) process() (bool, error) {
 	// admitted). Doing both before the policy call coalesces simultaneous
 	// arrivals and completions into one event.
 	for st.havePending && st.pending.Release <= st.now {
+		a := &st.pending
 		lt := liveTask{
-			arr:       st.pending,
+			volume:    a.Task.Volume,
 			id:        st.pendingID,
-			remaining: st.pending.Task.Volume,
+			tenant:    a.Tenant,
+			release:   a.Release,
+			weight:    a.Task.Weight,
+			remaining: a.Task.Volume,
 			// Runs with a time-varying capacity recompute delta at every
 			// event; everywhere else the budget is the constant p.
-			delta: math.Min(st.pending.Task.Delta, st.p),
-			tol:   1e-9 * math.Max(1, st.pending.Task.Volume),
+			delta:    math.Min(a.Task.Delta, st.p),
+			rawDelta: a.Task.Delta,
+			curve:    a.Task.Curve,
+			tol:      1e-9 * math.Max(1, a.Task.Volume),
 		}
 		if st.certified {
-			lt.w = st.weigher.EqualShareWeight(st.pending.Task.Weight)
-			lt.dratio = lt.delta / lt.w
-			// The completion tolerance of the fallback path mapped into key
-			// space.
-			lt.ktol = lt.tol / lt.w
+			lt.w = st.weigher.EqualShareWeight(lt.weight)
 			st.wsum += lt.w
 			if st.virtual {
 				lt.key = st.vnow + lt.remaining/lt.w
 			}
 		}
 		slot := len(r.live)
-		r.live = append(r.live, lt)
+		r.live = appendSlot(r.live, lt)
 		if r.statesValid {
-			r.states = append(r.states, lt.state())
+			r.states = appendSlot(r.states, lt.state())
 		}
 		if st.core == CoreAuto {
 			if r.drh.valid {
-				r.drh.push(slot, lt.dratio)
+				r.drh.push(slot, lt.delta/lt.w)
 			}
 			if st.virtual && r.cal.valid {
 				r.cal.insert(slot, lt.key)
@@ -1236,7 +1247,7 @@ func (st *Stepper) process() (bool, error) {
 	}
 
 	// Certified equal-share segment: while no alive task is degree-pinned
-	// (p/W ≤ min dratio ⟺ w_i·p/W ≤ Delta_i for all i), the policy's answer
+	// (p/W ≤ min delta_i/w_i ⟺ w_i·p/W ≤ Delta_i for all i), the policy's answer
 	// is known to be the proportional split of the full capacity, so skip
 	// the invocation entirely and decide on the virtual clock.
 	if st.certified && st.wsum > 0 && st.p/st.wsum <= st.minDratio() {
@@ -1258,18 +1269,18 @@ func (st *Stepper) process() (bool, error) {
 
 	if st.budgeter != nil {
 		for i := range r.live {
-			r.live[i].delta = math.Min(r.live[i].arr.Task.Delta, budget)
+			r.live[i].delta = math.Min(r.live[i].rawDelta, budget)
 		}
 		r.statesValid = false
 	}
 	if !r.statesValid {
-		r.states = r.states[:0]
+		r.states = growSlots(r.states[:0], len(r.live))
 		for i := range r.live {
 			r.states = append(r.states, r.live[i].state())
 		}
 		r.statesValid = true
 	}
-	r.alloc = st.policy.Allocate(budget, r.states, r.alloc[:0])
+	r.alloc = st.policy.Allocate(budget, r.states, growSlots(r.alloc[:0], len(r.live)))
 	alloc := r.alloc
 	total, err := validateAllocation(budget, r.live, alloc)
 	if err != nil {
@@ -1292,7 +1303,7 @@ func (st *Stepper) process() (bool, error) {
 	// CoreNaive from the reference scan. Both are the minimum of the same
 	// freshly computed float set, so the decided dt is bit-identical.
 	dt := math.Inf(1)
-	r.rates = r.rates[:0]
+	r.rates = growSlots(r.rates[:0], len(r.live))
 	if st.core == CoreAuto {
 		dt = st.fallbackDt(alloc)
 	} else {
@@ -1316,11 +1327,11 @@ func (st *Stepper) process() (bool, error) {
 func (lt *liveTask) state() TaskState {
 	return TaskState{
 		ID:        lt.id,
-		Tenant:    lt.arr.Tenant,
-		Release:   lt.arr.Release,
-		Weight:    lt.arr.Task.Weight,
+		Tenant:    lt.tenant,
+		Release:   lt.release,
+		Weight:    lt.weight,
 		Delta:     lt.delta,
-		Curve:     lt.arr.Task.Curve,
+		Curve:     lt.curve,
 		Processed: lt.processed,
 		Remaining: lt.remaining,
 	}
@@ -1345,7 +1356,7 @@ func (st *Stepper) rate(lt *liveTask, a float64) float64 {
 //
 //go:noinline
 func (st *Stepper) modelRate(lt *liveTask, a float64) float64 {
-	return st.model.Rate(speedup.TaskShape{Delta: lt.delta, Curve: lt.arr.Task.Curve}, a)
+	return st.model.Rate(speedup.TaskShape{Delta: lt.delta, Curve: lt.curve}, a)
 }
 
 // emitRetired records one completed task at the current time: the sink row
@@ -1354,11 +1365,11 @@ func (st *Stepper) emitRetired(lt *liveTask, processed float64) {
 	res := st.res
 	m := TaskMetrics{
 		ID:         lt.id,
-		Tenant:     lt.arr.Tenant,
-		Weight:     lt.arr.Task.Weight,
-		Release:    lt.arr.Release,
+		Tenant:     lt.tenant,
+		Weight:     lt.weight,
+		Release:    lt.release,
 		Completion: st.now,
-		Flow:       st.now - lt.arr.Release,
+		Flow:       st.now - lt.release,
 		Processed:  processed,
 	}
 	if st.sink != nil {
@@ -1425,11 +1436,12 @@ func (st *Stepper) retireVirtual() {
 			return
 		}
 		lt := &r.live[slot]
-		if lt.key > st.vnow+lt.ktol {
+		// The fallback path's completion tolerance mapped into key space.
+		if lt.key > st.vnow+lt.tol/lt.w {
 			return
 		}
 		rem := lt.w * (lt.key - st.vnow)
-		st.emitRetired(lt, lt.arr.Task.Volume-rem)
+		st.emitRetired(lt, lt.volume-rem)
 		st.removeSlot(slot)
 	}
 }
@@ -1464,9 +1476,9 @@ func (st *Stepper) minDratio() float64 {
 	r := st.r
 	if st.core == CoreAuto {
 		if !r.drh.valid {
-			r.keyScratch = growFloat(r.keyScratch, len(r.live))
+			r.keyScratch = resize(r.keyScratch, len(r.live))
 			for i := range r.live {
-				r.keyScratch[i] = r.live[i].dratio
+				r.keyScratch[i] = r.live[i].delta / r.live[i].w
 			}
 			r.drh.rebuild(r.keyScratch[:len(r.live)])
 		}
@@ -1474,8 +1486,8 @@ func (st *Stepper) minDratio() float64 {
 	}
 	min := math.Inf(1)
 	for i := range r.live {
-		if r.live[i].dratio < min {
-			min = r.live[i].dratio
+		if d := r.live[i].delta / r.live[i].w; d < min {
+			min = d
 		}
 	}
 	return min
@@ -1513,7 +1525,7 @@ func (st *Stepper) leaveVirtual() {
 		lt := &r.live[i]
 		rem := lt.w * (lt.key - st.vnow)
 		lt.remaining = rem
-		lt.processed = lt.arr.Task.Volume - rem
+		lt.processed = lt.volume - rem
 	}
 	r.cal.valid = false
 	r.qth.valid = false
@@ -1545,31 +1557,32 @@ func (st *Stepper) fallbackDt(alloc []float64) float64 {
 		}
 	}
 	if active > n/4 {
-		// quot caches are left stale: the invalidation forces the sparse
+		// The heap's keys are left stale: the invalidation forces the sparse
 		// regime to reseed with a full rebuild, which rewrites every one.
 		r.qth.valid = false
 		return dtScan
 	}
 	if !r.qth.valid {
-		r.keyScratch = growFloat(r.keyScratch, n)
+		r.keyScratch = resize(r.keyScratch, n)
 		for k := range r.live {
 			q := math.Inf(1)
 			if r.rates[k] > 0 {
 				q = r.live[k].remaining / r.rates[k]
 			}
-			r.live[k].quot = q
 			r.keyScratch[k] = q
 		}
 		r.qth.rebuild(r.keyScratch[:n])
 	} else {
+		h := &r.qth
 		for k := range r.live {
 			q := math.Inf(1)
 			if r.rates[k] > 0 {
 				q = r.live[k].remaining / r.rates[k]
 			}
-			if q != r.live[k].quot {
-				r.live[k].quot = q
-				r.qth.update(k, q)
+			// Only a slot that is not queued yet (admitted since the last
+			// event) or whose quotient moved pays a sift.
+			if k >= len(h.pos) || h.pos[k] < 0 || q != h.key[k] {
+				h.update(k, q)
 			}
 		}
 	}

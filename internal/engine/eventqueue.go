@@ -27,9 +27,10 @@ import "math"
 // the same sequence as one that grew event by event — the property
 // FuzzEventQueueEquivalence leans on.
 //
-// All storage is Runner scratch: inserts append into kept-capacity slices, so
-// a warmed engine runs both structures without heap allocation, and a
-// transition rebuilds them from the live slots without allocating either.
+// All storage is Runner scratch: inserts append into kept-capacity slices
+// that double when full (appendSlot), so a warmed engine runs both
+// structures without heap allocation, and a transition rebuilds them from
+// the live slots without allocating either.
 
 // QueueStats is the per-run counter pair recording which event core ran each
 // policy event: the virtual-clock equal-share path (no policy invocation, the
@@ -88,35 +89,56 @@ type idxHeap struct {
 // reset empties the heap and sizes the slot index for n slots.
 func (h *idxHeap) reset(n int) {
 	h.heap = h.heap[:0]
-	h.pos = growInt32(h.pos, n)
-	h.key = growFloat(h.key, n)
+	h.pos = resize(h.pos, n)
+	h.key = resize(h.key, n)
 	for i := 0; i < n; i++ {
 		h.pos[i] = -1
 	}
 	h.valid = true
 }
 
-// growInt32 returns s resized to length n, reusing its storage.
-func growInt32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
+// Growth of the slot-indexed arrays. The live slots and every array indexed
+// by slot number grow with the backlog, and append's own step falls to
+// about 1.25x for large slices, so a backlog that climbs to n slots would
+// allocate several times n on the way. These helpers double instead, which
+// bounds a cold run's growth garbage near twice the final capacity.
+
+// minSlotCap is the smallest capacity a slot-indexed array grows to.
+const minSlotCap = 16
+
+// appendSlot appends v to a slot-indexed array, doubling its capacity when
+// it is full.
+func appendSlot[T any](s []T, v T) []T {
+	if len(s) == cap(s) {
+		s = growSlots(s, len(s)+1)
 	}
-	return s[:n]
+	return append(s, v)
 }
 
-// growFloat returns s resized to length n, reusing its storage.
-func growFloat(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+// growSlots returns s, with its length unchanged, backed by an array of at
+// least n elements: reused when it already has room, otherwise at least
+// doubled.
+func growSlots[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s
 	}
-	return s[:n]
+	g := make([]T, len(s), max(n, 2*cap(s), minSlotCap))
+	copy(g, s)
+	return g
 }
 
-// ensure grows the slot index to address slot (appends keep amortized O(1)).
+// resize returns s resized to length n, reusing its storage when it has
+// room and otherwise growing it as growSlots does; the contents are the
+// caller's to overwrite.
+func resize[T any](s []T, n int) []T {
+	return growSlots(s[:0], n)[:n]
+}
+
+// ensure grows the slot index to address slot, doubling on growth.
 func (h *idxHeap) ensure(slot int) {
 	for len(h.pos) <= slot {
-		h.pos = append(h.pos, -1)
-		h.key = append(h.key, 0)
+		h.pos = appendSlot(h.pos, -1)
+		h.key = appendSlot(h.key, 0)
 	}
 }
 
@@ -125,7 +147,7 @@ func (h *idxHeap) push(slot int, key float64) {
 	h.ensure(slot)
 	h.key[slot] = key
 	h.pos[slot] = int32(len(h.heap))
-	h.heap = append(h.heap, int32(slot))
+	h.heap = appendSlot(h.heap, int32(slot))
 	h.siftUp(len(h.heap) - 1)
 }
 
@@ -193,9 +215,9 @@ func (h *idxHeap) min() float64 {
 // keys changed at once.
 func (h *idxHeap) rebuild(keys []float64) {
 	n := len(keys)
-	h.pos = growInt32(h.pos, n)
-	h.key = growFloat(h.key, n)
-	h.heap = h.heap[:0]
+	h.pos = resize(h.pos, n)
+	h.key = resize(h.key, n)
+	h.heap = growSlots(h.heap[:0], n)
 	for i := 0; i < n; i++ {
 		h.key[i] = keys[i]
 		h.pos[i] = int32(i)
@@ -309,7 +331,7 @@ func (q *calendarQueue) reset(base, span float64, n int) {
 	for nb < n {
 		nb *= 2
 	}
-	q.head = growInt32(q.head, nb+1)
+	q.head = resize(q.head, nb+1)
 	for i := range q.head {
 		q.head[i] = -1
 	}
@@ -332,13 +354,14 @@ func (q *calendarQueue) reset(base, span float64, n int) {
 	q.valid = true
 }
 
-// ensureSlots grows the slot-indexed arrays to address slot.
+// ensureSlots grows the slot-indexed arrays to address slot, doubling on
+// growth.
 func (q *calendarQueue) ensureSlots(slot int) {
 	for len(q.key) <= slot {
-		q.bucketOf = append(q.bucketOf, 0)
-		q.next = append(q.next, -1)
-		q.prev = append(q.prev, -1)
-		q.key = append(q.key, 0)
+		q.bucketOf = appendSlot(q.bucketOf, 0)
+		q.next = appendSlot(q.next, -1)
+		q.prev = appendSlot(q.prev, -1)
+		q.key = appendSlot(q.key, 0)
 	}
 }
 

@@ -49,13 +49,13 @@ func (c *viewChecker) check(capacity float64, alive []TaskState) error {
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	for k := range live {
 		lt, s := &live[k], alive[k]
-		if s.ID != lt.id || s.Tenant != lt.arr.Tenant ||
-			!same(s.Release, lt.arr.Release) || !same(s.Weight, lt.arr.Task.Weight) ||
-			!same(s.Delta, math.Min(lt.arr.Task.Delta, capacity)) || !same(s.Curve, lt.arr.Task.Curve) ||
+		if s.ID != lt.id || s.Tenant != lt.tenant ||
+			!same(s.Release, lt.release) || !same(s.Weight, lt.weight) ||
+			!same(s.Delta, math.Min(lt.rawDelta, capacity)) || !same(s.Curve, lt.curve) ||
 			!same(s.Processed, lt.processed) || !same(s.Remaining, lt.remaining) {
 			return fmt.Errorf("call %d: slot %d view %+v, live id=%d tenant=%d release=%g weight=%g delta=min(%g,%g) curve=%g processed=%g remaining=%g",
-				c.calls, k, s, lt.id, lt.arr.Tenant, lt.arr.Release, lt.arr.Task.Weight,
-				lt.arr.Task.Delta, capacity, lt.arr.Task.Curve, lt.processed, lt.remaining)
+				c.calls, k, s, lt.id, lt.tenant, lt.release, lt.weight,
+				lt.rawDelta, capacity, lt.curve, lt.processed, lt.remaining)
 		}
 	}
 	return nil

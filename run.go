@@ -49,14 +49,14 @@ type RunSpec struct {
 	// arrival dispatched at its release time to the shard the router picks
 	// from exact live backlog snapshots. Works with Arrivals or Stream.
 	Router ClusterRouter
-	// Workers >= 2 advances cluster shards concurrently on that many pool
-	// workers, one dispatch window at a time. It applies to state-free
-	// routers and to StaleRouting; an exact-view state-reading router, or
-	// any run with a probe (Probe or FleetProbe), runs sequentially. Every
-	// byte of output is identical at every Workers setting — the knob
-	// trades goroutines for wall-clock time only. Workers without a Router
-	// is an error, because only the cluster coordinator has shards to
-	// advance together.
+	// Workers >= 2 advances cluster shards concurrently on that many
+	// goroutines (the coordinator included, clamped to GOMAXPROCS), one
+	// dispatch window at a time. It applies to state-free routers and to
+	// StaleRouting; an exact-view state-reading router, or any run with a
+	// probe (Probe or FleetProbe), runs sequentially. Every byte of output
+	// is identical at every Workers setting — the knob trades goroutines
+	// for wall-clock time only. Workers without a Router is an error,
+	// because only the cluster coordinator has shards to advance together.
 	Workers int
 	// StaleRouting switches a cluster run (Router set) to the stale-batched
 	// coordinator: the router observes fleet state as of the last dispatch
